@@ -18,7 +18,6 @@
 namespace mtbase {
 namespace engine {
 
-thread_local verify::VerifyContext Database::verify_ctx_;
 thread_local obs::StatementTrace* Database::active_trace_ = nullptr;
 thread_local Database::StatsFrame* Database::tl_stats_frame_ = nullptr;
 thread_local const Database* Database::tl_guard_owner_ = nullptr;
@@ -246,7 +245,7 @@ PreparedPlan& PreparedPlan::operator=(PreparedPlan&&) noexcept = default;
 PreparedPlan::~PreparedPlan() = default;
 
 Result<std::shared_ptr<const PreparedPlan::CompiledState>>
-PreparedPlan::CompileLocked() {
+PreparedPlan::CompileLocked(obs::StatementTrace* trace) {
   auto state = std::make_shared<CompiledState>();
   // Snapshot the version before planning: a concurrent DDL that lands
   // mid-compile yields a state stamped stale, forcing a recompile on the
@@ -261,12 +260,12 @@ PreparedPlan::CompileLocked() {
   if (sel != nullptr) {
     PlanPtr plan;
     {
-      obs::SpanTimer span(db_->active_trace_, "plan", stats);
+      obs::SpanTimer span(trace, "plan", stats);
       Planner planner(&db_->catalog_, &db_->udfs_, db_->planner_options_);
       MTB_ASSIGN_OR_RETURN(plan, planner.PlanSelect(*sel));
       ++stats->statements_planned;
     }
-    MTB_RETURN_IF_ERROR(db_->VerifyPlan(plan.get()));
+    MTB_RETURN_IF_ERROR(db_->VerifyPlan(plan.get(), verify_ctx_, trace));
     for (const auto& c : plan->columns) state->column_names.push_back(c.name);
     state->plan = std::shared_ptr<const Plan>(std::move(plan));
   }
@@ -348,9 +347,10 @@ Result<ResultSet> PreparedPlan::ExecuteInternal(
     if (state_ == nullptr ||
         state_->version != db_->compilation_version()) {
       // Invalidate first: a failed recompile (e.g. against a dropped table)
-      // must not leave a handle that silently executes the stale plan.
+      // must not leave a handle that silently executes the stale plan. The
+      // recompile verifies against the D' kept at prepare time.
       state_.reset();
-      MTB_ASSIGN_OR_RETURN(auto compiled, CompileLocked());
+      MTB_ASSIGN_OR_RETURN(auto compiled, CompileLocked(db_->active_trace_));
       column_names_ = compiled->column_names;
       state_ = std::move(compiled);
     }
@@ -391,7 +391,7 @@ Result<ResultSet> PreparedPlan::ExecuteInternal(
       return rs;
     }
     default:
-      return db_->ExecuteStmt(stmt_, bound);
+      return db_->ExecuteStmt(stmt_);
   }
 }
 
@@ -407,11 +407,22 @@ Result<PreparedPlan> Database::Prepare(const std::string& sql) {
     obs::SpanTimer span(active_trace_, "parse", CurStats());
     MTB_ASSIGN_OR_RETURN(stmt, sql::ParseStatement(sql));
   }
-  return PrepareStmt(std::move(stmt), sql);
+  return PrepareStmt(std::move(stmt), sql, DefaultContext());
+}
+
+StatementContext Database::DefaultContext() {
+  StatementGuard guard(this, /*exclusive=*/false);
+  return StatementContext{default_verify_ctx_, active_trace_};
+}
+
+void Database::set_verify_context(verify::VerifyContext ctx) {
+  StatementGuard guard(this, /*exclusive=*/true);
+  default_verify_ctx_ = std::move(ctx);
 }
 
 Result<PreparedPlan> Database::PrepareStmt(sql::Stmt stmt,
-                                           std::string sql_text) {
+                                           std::string sql_text,
+                                           StatementContext ctx) {
   if (stmt.kind == sql::Stmt::Kind::kSetScope) {
     return Status::InvalidArgument(
         "SET SCOPE is an MTSQL statement; the engine only accepts SQL");
@@ -424,45 +435,68 @@ Result<PreparedPlan> Database::PrepareStmt(sql::Stmt stmt,
   plan.sql_ = std::move(sql_text);
   plan.param_count_ = sql::MaxParamIndex(stmt);
   plan.stmt_ = std::move(stmt);
+  plan.verify_ctx_ = std::move(ctx.verify);
   {
     std::lock_guard<std::mutex> lock(*plan.mu_);
-    MTB_ASSIGN_OR_RETURN(auto compiled, plan.CompileLocked());
+    MTB_ASSIGN_OR_RETURN(auto compiled, plan.CompileLocked(ctx.trace));
     plan.column_names_ = compiled->column_names;
     plan.state_ = std::move(compiled);
   }
   return plan;
 }
 
-Result<ResultSet> Database::Execute(const std::string& sql) {
-  // Open the statement's trace record here so the compile-time spans
-  // (parse/plan/verify, recorded inside Prepare) land in the same record as
-  // the execute span; PreparedPlan::Execute's own record scope nests into
-  // this one via the slot.
-  obs::TraceRecordScope trace(obs::Tracer::Global(), &active_trace_, "engine",
-                              sql);
+namespace {
+
+/// One-shot statement: prepare and execute inside one engine trace record,
+/// so the compile spans (parse, plan, verify) and the execute span share it
+/// (PreparedPlan::Execute's own record scope nests into this one).
+template <typename PrepareFn>
+Result<ResultSet> PrepareAndExecute(obs::StatementTrace** slot,
+                                    const std::string& sql_text,
+                                    PrepareFn prepare) {
+  obs::TraceRecordScope trace(obs::Tracer::Global(), slot, "engine",
+                              sql_text);
   auto result = [&]() -> Result<ResultSet> {
-    MTB_ASSIGN_OR_RETURN(PreparedPlan plan, Prepare(sql));
+    MTB_ASSIGN_OR_RETURN(PreparedPlan plan, prepare());
     return plan.Execute();
   }();
   trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
   return result;
 }
 
+}  // namespace
+
+Result<ResultSet> Database::Execute(const std::string& sql) {
+  return PrepareAndExecute(&active_trace_, sql, [&] { return Prepare(sql); });
+}
+
 Result<ResultSet> Database::ExecuteScript(const std::string& sql) {
   StatsFrame frame(this);
   MTB_ASSIGN_OR_RETURN(auto stmts, sql::ParseScript(sql));
   CurStats()->statements_parsed += stmts.size();
+  obs::Tracer* tracer = obs::Tracer::Global();
+  const bool tracing = tracer != nullptr && tracer->enabled();
   ResultSet last;
   for (size_t i = 0; i < stmts.size(); ++i) {
-    auto r = ExecuteStmt(stmts[i]);
+    Result<ResultSet> r = ResultSet();
+    if (stmts[i].is_query_or_dml()) {
+      // The statement only exists as an AST here; it is printed back to SQL
+      // for the trace record only when tracing is actually on.
+      const std::string text =
+          tracing ? sql::PrintStmt(stmts[i]) : std::string();
+      r = PrepareAndExecute(&active_trace_, text, [&] {
+        return PrepareStmt(std::move(stmts[i]), text, DefaultContext());
+      });
+    } else {
+      r = ExecuteStmt(stmts[i]);
+    }
     if (!r.ok()) return AtScriptStatement(i + 1, r.status());
     last = std::move(r).value();
   }
   return last;
 }
 
-Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
-                                        const std::vector<Value>* params) {
+Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
   AdmissionPass admission(this);
   if (!admission.status().ok()) return admission.status();
   StatsFrame frame(this);
@@ -475,7 +509,11 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
   ResultSet empty;
   switch (stmt.kind) {
     case sql::Stmt::Kind::kSelect:
-      return ExecuteSelect(*stmt.select, params);
+    case sql::Stmt::Kind::kInsert:
+    case sql::Stmt::Kind::kUpdate:
+    case sql::Stmt::Kind::kDelete:
+      return Status::Internal(
+          "SELECT and DML execute through PrepareStmt, not ExecuteStmt");
     case sql::Stmt::Kind::kCreateTable:
       MTB_RETURN_IF_ERROR(ExecuteCreateTable(*stmt.create_table));
       RefreshUdfPlans();
@@ -494,31 +532,6 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
                                                stmt.create_index->columns));
       RefreshUdfPlans();
       return empty;
-    case sql::Stmt::Kind::kInsert:
-      // Ad-hoc DML shares the prepared path's bound form; only the
-      // INSERT ... SELECT source still plans per execution here.
-      if (stmt.insert->select) {
-        MTB_RETURN_IF_ERROR(ExecuteInsert(*stmt.insert, params));
-      } else {
-        MTB_ASSIGN_OR_RETURN(auto dml, BindDml(stmt));
-        MTB_RETURN_IF_ERROR(ExecuteBoundInsert(*dml, nullptr, params));
-      }
-      return empty;
-    case sql::Stmt::Kind::kUpdate: {
-      // Ad-hoc DML shares the prepared path's bound form (bind + execute).
-      MTB_ASSIGN_OR_RETURN(auto dml, BindDml(stmt));
-      MTB_ASSIGN_OR_RETURN(int64_t n, ExecuteBoundUpdate(*dml, params));
-      empty.column_names = {"updated"};
-      empty.rows.push_back({Value::Int(n)});
-      return empty;
-    }
-    case sql::Stmt::Kind::kDelete: {
-      MTB_ASSIGN_OR_RETURN(auto dml, BindDml(stmt));
-      MTB_ASSIGN_OR_RETURN(int64_t n, ExecuteBoundDelete(*dml, params));
-      empty.column_names = {"deleted"};
-      empty.rows.push_back({Value::Int(n)});
-      return empty;
-    }
     case sql::Stmt::Kind::kGrant:
       // Privileges are enforced by the MT middleware (paper section 2.3);
       // the engine accepts and ignores plain-SQL grants.
@@ -567,16 +580,17 @@ void Database::RefreshUdfPlans() {
   RebuildUdfReadTables();
 }
 
-Status Database::VerifyPlan(Plan* plan) {
+Status Database::VerifyPlan(Plan* plan, const verify::VerifyContext& ctx,
+                            obs::StatementTrace* trace) {
   if (plan_mutation_hook_) plan_mutation_hook_(plan);
   if (!verify::VerificationEnabled()) return Status::OK();
   // The verifier walks UDF body plans, which hold raw catalog pointers and
   // are only safe to dereference once replanned against the current catalog.
   if (udf_plans_stale_) RefreshUdfPlans();
   ExecStats* stats = CurStats();
-  obs::SpanTimer span(active_trace_, "verify", stats);
+  obs::SpanTimer span(trace, "verify", stats);
   ++stats->plans_verified;
-  verify::PlanVerifier verifier(&verify_ctx_);
+  verify::PlanVerifier verifier(&ctx);
   verify::VerifyResult result = verifier.Verify(*plan);
   if (result.ok()) return Status::OK();
   stats->verify_violations += result.violations.size();
@@ -584,99 +598,39 @@ Status Database::VerifyPlan(Plan* plan) {
                                  result.Message());
 }
 
-Result<ResultSet> Database::ExecuteSelect(const sql::SelectStmt& sel,
-                                          const std::vector<Value>* params) {
-  // Ad-hoc SELECTs (scripts, ExecuteStmt callers) reach execution without a
-  // PreparedPlan, so this path carries its own observability shell. The
-  // statement text only exists as an AST here; it is printed back to SQL
-  // for the trace record only when tracing is actually on.
-  AdmissionPass admission(this);
-  if (!admission.status().ok()) return admission.status();
-  StatsFrame frame(this);
-  StatementGuard guard(this, /*exclusive=*/false);
-  ExecStats* stats = CurStats();
-  obs::Tracer* tracer = obs::Tracer::Global();
-  obs::TraceRecordScope trace(
-      tracer, &active_trace_, "engine",
-      tracer != nullptr && tracer->enabled() ? sql::PrintSelect(sel)
-                                             : std::string());
-  StatsScope scope(stats);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = [&]() -> Result<ResultSet> {
-    PlanPtr plan;
-    {
-      obs::SpanTimer span(active_trace_, "plan", stats);
-      Planner planner(&catalog_, &udfs_, planner_options_);
-      MTB_ASSIGN_OR_RETURN(plan, planner.PlanSelect(sel));
-      ++stats->statements_planned;
-    }
-    MTB_RETURN_IF_ERROR(VerifyPlan(plan.get()));
-    obs::SpanTimer span(active_trace_, "execute", stats);
-    ExecContext ctx = MakeContext(params);
-    MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan, &ctx));
-    ResultSet rs;
-    for (const auto& c : plan->columns) rs.column_names.push_back(c.name);
-    rs.rows = std::move(rows);
-    return rs;
-  }();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
-  const ExecStats d = scope.Delta();
-  auto* metrics = obs::MetricsRegistry::Global();
-  metrics->Add("mtbase_engine_statements_total");
-  if (!result.ok()) metrics->Add("mtbase_engine_statement_errors_total");
-  metrics->Observe("mtbase_engine_execute_seconds", secs);
-  if (d.udf_calls > 0) {
-    metrics->Add("mtbase_engine_udf_calls_total", d.udf_calls);
-  }
-  if (d.udf_cache_hits > 0) {
-    metrics->Add("mtbase_engine_udf_cache_hits_total", d.udf_cache_hits);
-  }
-  if (d.udf_cache_misses > 0) {
-    metrics->Add("mtbase_engine_udf_cache_misses_total", d.udf_cache_misses);
-  }
-  if (d.plans_verified > 0) {
-    metrics->Add("mtbase_engine_plans_verified_total", d.plans_verified);
-  }
-  if (result.ok()) {
-    metrics->Add("mtbase_engine_rows_returned_total",
-                 result.value().rows.size());
-  }
-  return result;
-}
-
 Result<std::string> Database::ExplainAnalyzeSelect(
-    const sql::SelectStmt& sel, const verify::VerifyContext* footer_verify_ctx,
+    const sql::SelectStmt& sel, const StatementContext& ctx, bool verify_footer,
     ResultSet* result_out) {
   AdmissionPass admission(this);
   if (!admission.status().ok()) return admission.status();
   StatsFrame frame(this);
   StatementGuard guard(this, /*exclusive=*/false);
   if (udf_plans_stale_) RefreshUdfPlans();
-  Planner planner(&catalog_, &udfs_, planner_options_);
-  MTB_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(sel));
-  ++CurStats()->statements_planned;
-  MTB_RETURN_IF_ERROR(VerifyPlan(plan.get()));
+  // The compile step a plain execution takes (plan + verify under ctx).
+  sql::Stmt stmt;
+  stmt.kind = sql::Stmt::Kind::kSelect;
+  stmt.select = sel.Clone();
+  MTB_ASSIGN_OR_RETURN(PreparedPlan prepared,
+                       PrepareStmt(std::move(stmt), std::string(), ctx));
+  const Plan& plan = *prepared.state_->plan;
   // Instrumented execution: same context a plain run gets, plus a profiler.
   obs::PlanProfiler profiler;
   StatsScope scope(CurStats());
-  ExecContext ctx = MakeContext();
-  ctx.profiler = &profiler;
+  ExecContext exec_ctx = MakeContext();
+  exec_ctx.profiler = &profiler;
   const auto t0 = std::chrono::steady_clock::now();
-  MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan, &ctx));
+  MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(plan, &exec_ctx));
   const double total_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
   const ExecStats d = scope.Delta();
-  std::string out = ExplainPlan(*plan, &planner_options_, &profiler);
+  std::string out = ExplainPlan(plan, &planner_options_, &profiler);
   // Footer order is fixed (docs/observability.md): verify, analyze; the
   // session layer appends its audit footer after both.
-  if (footer_verify_ctx != nullptr) {
-    verify::PlanVerifier verifier(footer_verify_ctx);
-    out += "[verify: " + verifier.Verify(*plan).Summary() + "]\n";
+  if (verify_footer) {
+    verify::PlanVerifier verifier(&ctx.verify);
+    out += "[verify: " + verifier.Verify(plan).Summary() + "]\n";
   }
   char footer[160];
   std::snprintf(footer, sizeof(footer),
@@ -689,10 +643,7 @@ Result<std::string> Database::ExplainAnalyzeSelect(
   out += footer;
   obs::MetricsRegistry::Global()->Add("mtbase_engine_analyze_runs_total");
   if (result_out != nullptr) {
-    result_out->column_names.clear();
-    for (const auto& c : plan->columns) {
-      result_out->column_names.push_back(c.name);
-    }
+    result_out->column_names = prepared.column_names();
     result_out->rows = std::move(rows);
   }
   return out;
@@ -965,22 +916,6 @@ Result<int64_t> Database::ExecuteBoundDelete(const BoundDmlPlan& dml,
   }
   if (deleted > 0) dml.table->ReplaceRows(std::move(kept));
   return deleted;
-}
-
-Status Database::ExecuteInsert(const sql::InsertStmt& ins,
-                               const std::vector<Value>* params) {
-  Table* table = catalog_.FindTable(ins.table);
-  if (table == nullptr) {
-    return Status::NotFound("table " + ins.table + " does not exist");
-  }
-  MTB_ASSIGN_OR_RETURN(std::vector<int> targets,
-                       ResolveInsertTargets(ins, table->schema()));
-  if (!ins.select) {
-    return Status::Internal(
-        "INSERT ... VALUES executes through the bound DML path");
-  }
-  MTB_ASSIGN_OR_RETURN(ResultSet rs, ExecuteSelect(*ins.select, params));
-  return ApplyInsertRows(table, targets, std::move(rs.rows));
 }
 
 Status Database::ValidateTable(const Table& table) {

@@ -55,6 +55,16 @@ struct ResultSet {
 /// database.cc).
 struct BoundDmlPlan;
 
+/// The explicit inputs a statement compiles under (PrepareStmt).
+struct StatementContext {
+  /// What PlanVerifier proves the plan against (D'). The PreparedPlan keeps
+  /// it, so lazy recompiles after DDL verify against the same D'.
+  verify::VerifyContext verify;
+  /// The caller's trace record for the compile's plan/verify spans. Not
+  /// kept: a lazy recompile records into the executing statement's record.
+  obs::StatementTrace* trace = nullptr;
+};
+
 /// A statement compiled once and executable many times. SELECTs (and the
 /// SELECT source of INSERT ... SELECT) carry the fully bound physical plan;
 /// INSERT/UPDATE/DELETE carry a BoundDmlPlan (targets, predicates and
@@ -95,10 +105,12 @@ class PreparedPlan {
   /// database.cc; re-compiles swap a fresh block in under mu_.
   struct CompiledState;
 
-  /// (Re)compile from the stored AST into a fresh state block; the caller
-  /// holds mu_ and has cleared state_ first so a failed recompile (e.g. a
-  /// dropped table) cannot leave a usable handle.
-  Result<std::shared_ptr<const CompiledState>> CompileLocked();
+  /// (Re)compile from the stored AST into a fresh state block verified under
+  /// verify_ctx_, recording plan/verify spans into `trace`; the caller holds
+  /// mu_ and has cleared state_ first so a failed recompile (e.g. a dropped
+  /// table) cannot leave a usable handle.
+  Result<std::shared_ptr<const CompiledState>> CompileLocked(
+      obs::StatementTrace* trace);
 
   /// The execution body. Execute() wraps it with the observability surface
   /// (statement trace record, execute span, metrics) so the wrapped path
@@ -109,6 +121,7 @@ class PreparedPlan {
   std::string sql_;
   sql::Stmt stmt_;
   int param_count_ = 0;
+  verify::VerifyContext verify_ctx_;
   // Guards state_ swaps (shared_ptr so the handle stays movable).
   std::shared_ptr<std::mutex> mu_ = std::make_shared<std::mutex>();
   std::shared_ptr<const CompiledState> state_;
@@ -121,37 +134,41 @@ class Database {
   /// (0 / unset = unlimited).
   explicit Database(DbmsProfile profile = DbmsProfile::kPostgres);
 
-  /// Compile one statement for repeated execution.
+  /// Compile one statement for repeated execution under the default verify
+  /// context (set_verify_context).
   Result<PreparedPlan> Prepare(const std::string& sql);
-  /// Same, from an already parsed statement (the MT middleware prepares the
-  /// rewritten AST directly and only keeps `sql_text` for display).
-  Result<PreparedPlan> PrepareStmt(sql::Stmt stmt, std::string sql_text);
+  /// Same, from an already parsed statement compiled under `ctx` (the MT
+  /// middleware prepares the rewritten AST directly with its session's D'
+  /// and only keeps `sql_text` for display).
+  Result<PreparedPlan> PrepareStmt(sql::Stmt stmt, std::string sql_text,
+                                   StatementContext ctx);
 
   /// Execute one statement given as SQL text (prepare + execute).
   Result<ResultSet> Execute(const std::string& sql);
   /// Execute a ';'-separated script; returns the last statement's result.
-  /// Errors are prefixed with the 1-based statement index.
+  /// SELECT and DML statements run as prepare + execute like Execute; the
+  /// rest through ExecuteStmt. Errors are prefixed with the 1-based
+  /// statement index.
   Result<ResultSet> ExecuteScript(const std::string& sql);
-  /// Execute a parsed statement with optional $n parameter bindings.
-  Result<ResultSet> ExecuteStmt(const sql::Stmt& stmt,
-                                const std::vector<Value>* params = nullptr);
+  /// Execute a parsed DDL or DCL statement. SELECT and DML run through
+  /// PrepareStmt + PreparedPlan::Execute instead and are rejected here.
+  Result<ResultSet> ExecuteStmt(const sql::Stmt& stmt);
 
   /// Validate primary keys, foreign keys and check constraints of `table`
   /// (all tables if empty). Deferred validation keeps bulk loads fast.
   Status ValidateConstraints(const std::string& table = "");
 
-  /// EXPLAIN (ANALYZE) (docs/observability.md): plan `sel`, execute it with
-  /// per-operator instrumentation attached, and render the plan with
-  /// trailing `[actual: ...]` annotations plus an `[analyze: ...]` statement
-  /// footer. With `footer_verify_ctx` set a `[verify: ...]` footer precedes
-  /// the analyze footer (the EXPLAIN (VERIFY, ANALYZE) composition — footer
-  /// order is fixed: verify, analyze, then the session layer's audit).
-  /// `result_out`, if non-null, receives the instrumented run's result set
-  /// so callers can prove byte-identity against an uninstrumented run.
-  Result<std::string> ExplainAnalyzeSelect(
-      const sql::SelectStmt& sel,
-      const verify::VerifyContext* footer_verify_ctx = nullptr,
-      ResultSet* result_out = nullptr);
+  /// EXPLAIN (ANALYZE) (docs/observability.md): compile `sel` as PrepareStmt
+  /// does, execute it with per-operator instrumentation attached, and render
+  /// the plan with `[actual: ...]` annotations plus an `[analyze: ...]`
+  /// footer. `verify_footer` prepends a `[verify: ...]` footer against
+  /// ctx.verify (footer order is fixed: verify, analyze, then the session
+  /// layer's audit). `result_out`, if non-null, receives the instrumented
+  /// run's result set (tests prove byte-identity against a plain run).
+  Result<std::string> ExplainAnalyzeSelect(const sql::SelectStmt& sel,
+                                           const StatementContext& ctx,
+                                           bool verify_footer = false,
+                                           ResultSet* result_out = nullptr);
 
   /// Prometheus-text snapshot of the process-wide obs::MetricsRegistry
   /// (docs/observability.md "Metrics").
@@ -248,16 +265,11 @@ class Database {
   /// cache).
   UdfCacheEpoch CurrentUdfCacheEpoch() const;
 
-  /// Assumptions PlanVerifier may make about plans compiled from now on —
-  /// on this thread: the context is thread-local so concurrent sessions
-  /// cannot cross-contaminate each other's expected datasets. The MT
-  /// middleware refreshes it before every statement compile with the
-  /// expected dataset D' (src/mt/session.cc); a plain-SQL embedder keeps the
-  /// default (engine-level checks only). See verify/verifier.h.
-  void set_verify_context(verify::VerifyContext ctx) {
-    verify_ctx_ = std::move(ctx);
-  }
-  const verify::VerifyContext& verify_context() const { return verify_ctx_; }
+  /// The verify context plain-SQL Prepare/Execute/ExecuteScript compile
+  /// under from now on (engine-level checks until set; the MT middleware
+  /// passes its D' to PrepareStmt instead). See verify/verifier.h. Takes the
+  /// exclusive statement lock, like set_planner_options.
+  void set_verify_context(verify::VerifyContext ctx);
 
   /// Test-only: mutate each plan after planning, before verification —
   /// lets negative suites deliberately break invariants and assert the
@@ -313,8 +325,9 @@ class Database {
   /// therefore need the exclusive statement lock.
   static bool IsDdlStmt(const sql::Stmt& stmt);
 
-  Result<ResultSet> ExecuteSelect(const sql::SelectStmt& sel,
-                                  const std::vector<Value>* params = nullptr);
+  /// The context plain-SQL statements compile under: the default verify
+  /// context and this thread's active engine trace record.
+  StatementContext DefaultContext();
   /// Bind a DML statement's expressions once for repeated execution
   /// (PreparedPlan::Compile counts the compilation).
   Result<std::unique_ptr<BoundDmlPlan>> BindDml(const sql::Stmt& stmt);
@@ -327,10 +340,6 @@ class Database {
                                      const std::vector<Value>* params);
   Status ExecuteCreateTable(const sql::CreateTableStmt& ct);
   Status ExecuteCreateFunction(const sql::CreateFunctionStmt& cf);
-  /// Ad-hoc INSERT ... SELECT (plans the source per execution; prepared
-  /// inserts and VALUES go through BindDml / ExecuteBoundInsert).
-  Status ExecuteInsert(const sql::InsertStmt& ins,
-                       const std::vector<Value>* params);
   Status ValidateTable(const Table& table);
 
   /// Replan every UDF body: body plans hold raw Table pointers and embed
@@ -350,9 +359,11 @@ class Database {
 
   /// Run the test mutation hook, then — when verification is enforced
   /// (debug builds / MTBASE_VERIFY_PLANS=1) — prove the plan's invariants
-  /// under the current verify context, counting ExecStats::plans_verified
-  /// and refusing violating plans (ExecStats::verify_violations).
-  Status VerifyPlan(Plan* plan);
+  /// under `ctx`, counting ExecStats::plans_verified, recording a verify
+  /// span into `trace`, and refusing violating plans
+  /// (ExecStats::verify_violations).
+  Status VerifyPlan(Plan* plan, const verify::VerifyContext& ctx,
+                    obs::StatementTrace* trace);
 
   ExecContext MakeContext(const std::vector<Value>* params = nullptr);
 
@@ -374,10 +385,8 @@ class Database {
   /// next execution (CurrentUdfCacheEpoch falls back to the whole-catalog
   /// data version while stale).
   std::vector<const Table*> udf_read_tables_;
-  /// Thread-local: concurrent sessions compile under their own expected
-  /// datasets without contaminating each other (a thread that never set a
-  /// context verifies with engine-level checks only).
-  static thread_local verify::VerifyContext verify_ctx_;
+  /// set_verify_context's value; read under the shared statement lock.
+  verify::VerifyContext default_verify_ctx_;
   std::function<void(Plan*)> plan_mutation_hook_;
   /// Engine-layer trace slot (obs::TraceRecordScope): the active statement's
   /// trace record, or null outside a traced statement. Nested engine

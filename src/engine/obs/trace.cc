@@ -17,50 +17,18 @@ std::string FormatMs(double ms) {
   return buf;
 }
 
-// Nonzero ExecStats fields as JSON members, in declaration order. Field
-// names mirror the struct so tools/check_trace_schema.py can validate them
-// against a fixed list.
+// Nonzero ExecStats fields as JSON members, in field-table order (the names
+// tools/check_trace_schema.py validates against; see engine/stats.h).
 void AppendStatsJson(const engine::ExecStats& s, std::string* out) {
-  struct Field {
-    const char* name;
-    uint64_t value;
-  };
-  const Field fields[] = {
-      {"rows_scanned", s.rows_scanned},
-      {"rows_joined", s.rows_joined},
-      {"udf_calls", s.udf_calls},
-      {"udf_cache_hits", s.udf_cache_hits},
-      {"udf_shared_cache_hits", s.udf_shared_cache_hits},
-      {"udf_cache_misses", s.udf_cache_misses},
-      {"udf_parallel_evals", s.udf_parallel_evals},
-      {"subquery_execs", s.subquery_execs},
-      {"initplan_execs", s.initplan_execs},
-      {"decorrelated_execs", s.decorrelated_execs},
-      {"statements_parsed", s.statements_parsed},
-      {"statements_rewritten", s.statements_rewritten},
-      {"statements_planned", s.statements_planned},
-      {"prepare_count", s.prepare_count},
-      {"plan_cache_hits", s.plan_cache_hits},
-      {"rewrite_cache_hits", s.rewrite_cache_hits},
-      {"parallel_morsels", s.parallel_morsels},
-      {"parallel_joins", s.parallel_joins},
-      {"parallel_sorts", s.parallel_sorts},
-      {"topn_pushdowns", s.topn_pushdowns},
-      {"topn_rows_pruned", s.topn_rows_pruned},
-      {"threads_used", s.threads_used},
-      {"plans_verified", s.plans_verified},
-      {"verify_violations", s.verify_violations},
-      {"rewrites_audited", s.rewrites_audited},
-      {"audit_violations", s.audit_violations},
-  };
   *out += "{";
   bool first = true;
-  for (const Field& f : fields) {
-    if (f.value == 0) continue;
+  for (const engine::ExecStatsField& f : engine::kExecStatsFields) {
+    const uint64_t value = s.*f.member;
+    if (value == 0) continue;
     if (!first) *out += ", ";
     *out += "\"";
     *out += f.name;
-    *out += "\": " + std::to_string(f.value);
+    *out += "\": " + std::to_string(value);
     first = false;
   }
   *out += "}";

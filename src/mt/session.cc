@@ -225,16 +225,18 @@ Result<std::vector<int64_t>> Session::ResolveDataset(const sql::Stmt& stmt) {
       Optimizer opt(mw_->conversions(), client_);
       MTB_RETURN_IF_ERROR(opt.Optimize(rewritten.get(), level_));
       std::string sql_text = sql::PrintSelect(*rewritten);
+      sql::Stmt scope_stmt;
+      scope_stmt.kind = sql::Stmt::Kind::kSelect;
+      scope_stmt.select = std::move(rewritten);
       // The scope query itself is contractually unfiltered (it determines
-      // D); tell the verifier so before the engine compiles it.
-      engine::verify::VerifyContext vctx;
-      vctx.check_tenant = true;
-      vctx.ttid_column = kTtidColumn;
-      vctx.tenant_tables = mw_->schema()->TenantSpecificTables();
-      vctx.expected_tenants = mw_->tenants();
-      vctx.allow_unfiltered = true;
-      mw_->db()->set_verify_context(std::move(vctx));
-      MTB_ASSIGN_OR_RETURN(auto rs, mw_->db()->Execute(sql_text));
+      // D); tell the verifier so.
+      engine::StatementContext ctx{MakeVerifyContext(mw_->tenants()),
+                                   active_trace_};
+      ctx.verify.allow_unfiltered = true;
+      MTB_ASSIGN_OR_RETURN(
+          auto plan, mw_->db()->PrepareStmt(std::move(scope_stmt),
+                                            std::move(sql_text), ctx));
+      MTB_ASSIGN_OR_RETURN(auto rs, plan.Execute());
       for (const auto& row : rs.rows) {
         if (!row.empty() && !row[0].is_null()) {
           dataset.push_back(row[0].int_value());
@@ -468,9 +470,10 @@ Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset) {
   MTB_ASSIGN_OR_RETURN(auto stmts,
                        session_->RewriteWithDataset(stmt_, dataset));
   // Tell the verifier what the rewrite just promised: every plan compiled
-  // below must restrict tenant-specific access to this dataset.
-  session_->mw_->db()->set_verify_context(
-      session_->MakeVerifyContext(dataset));
+  // below (and every lazy recompile of it) must restrict tenant-specific
+  // access to this dataset.
+  const engine::StatementContext ctx{session_->MakeVerifyContext(dataset),
+                                     session_->active_trace_};
   auto plans = std::make_shared<std::vector<engine::PreparedPlan>>();
   for (auto& s : stmts) {
     std::string text = sql::PrintStmt(s);
@@ -478,7 +481,7 @@ Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset) {
     sql_ += text;
     MTB_ASSIGN_OR_RETURN(
         auto plan,
-        session_->mw_->db()->PrepareStmt(std::move(s), std::move(text)));
+        session_->mw_->db()->PrepareStmt(std::move(s), std::move(text), ctx));
     plans->push_back(std::move(plan));
   }
   plans_ = std::move(plans);
@@ -670,14 +673,18 @@ Result<engine::ResultSet> Session::ExecuteStmt(const sql::Stmt& stmt) {
       Middleware::MetaGuard meta(mw_, /*exclusive=*/false);
       std::vector<int64_t> dataset;
       MTB_ASSIGN_OR_RETURN(auto stmts, RewriteStmt(stmt, &dataset));
-      mw_->db()->set_verify_context(MakeVerifyContext(dataset));
+      const engine::StatementContext ctx{MakeVerifyContext(dataset),
+                                         active_trace_};
       engine::ResultSet last;
       last_sql_.clear();
-      for (const auto& s : stmts) {
+      for (auto& s : stmts) {
         std::string text = sql::PrintStmt(s);
         if (!last_sql_.empty()) last_sql_ += ";\n";
         last_sql_ += text;
-        MTB_ASSIGN_OR_RETURN(last, mw_->db()->Execute(text));
+        MTB_ASSIGN_OR_RETURN(
+            auto plan,
+            mw_->db()->PrepareStmt(std::move(s), std::move(text), ctx));
+        MTB_ASSIGN_OR_RETURN(last, plan.Execute());
       }
       return last;
     }
@@ -685,19 +692,11 @@ Result<engine::ResultSet> Session::ExecuteStmt(const sql::Stmt& stmt) {
 }
 
 Result<engine::ResultSet> Session::ExecuteOwned(sql::Stmt stmt) {
-  switch (stmt.kind) {
-    case sql::Stmt::Kind::kSelect:
-    case sql::Stmt::Kind::kInsert:
-    case sql::Stmt::Kind::kUpdate:
-    case sql::Stmt::Kind::kDelete: {
-      // One-shot = prepare + execute through the same compilation path the
-      // prepared API uses.
-      PreparedQuery pq(this, std::move(stmt), std::string());
-      return pq.Execute();
-    }
-    default:
-      return ExecuteStmt(stmt);
-  }
+  if (!stmt.is_query_or_dml()) return ExecuteStmt(stmt);
+  // One-shot = prepare + execute through the same compilation path the
+  // prepared API uses.
+  PreparedQuery pq(this, std::move(stmt), std::string());
+  return pq.Execute();
 }
 
 void Session::Close() {
@@ -711,17 +710,12 @@ Result<PreparedQuery> Session::Prepare(const std::string& mtsql) {
   engine::Database::StatsFrame frame(mw_->db());
   ++mw_->db()->CurStats()->statements_parsed;
   MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(mtsql));
-  switch (stmt.kind) {
-    case sql::Stmt::Kind::kSelect:
-    case sql::Stmt::Kind::kInsert:
-    case sql::Stmt::Kind::kUpdate:
-    case sql::Stmt::Kind::kDelete:
-      return PreparedQuery(this, std::move(stmt), mtsql);
-    default:
-      return Status::InvalidArgument(
-          "only queries and DML can be prepared; run session, DCL and DDL "
-          "statements through Execute()");
+  if (!stmt.is_query_or_dml()) {
+    return Status::InvalidArgument(
+        "only queries and DML can be prepared; run session, DCL and DDL "
+        "statements through Execute()");
   }
+  return PreparedQuery(this, std::move(stmt), mtsql);
 }
 
 Result<engine::ResultSet> Session::Execute(const std::string& mtsql) {
@@ -769,17 +763,14 @@ Result<std::string> Session::Explain(const std::string& mtsql,
   MTB_ASSIGN_OR_RETURN(
       auto stmts,
       RewriteWithDataset(stmt, dataset, options.audit ? &report : nullptr));
-  engine::verify::VerifyContext vctx;
+  // ANALYZE compiles under the same context a plain execution would, so
+  // enforcement (debug builds / MTBASE_VERIFY_PLANS=1) proves the same
+  // invariants; the VERIFY footer reports against it too.
+  const engine::StatementContext ctx{MakeVerifyContext(dataset),
+                                     active_trace_};
   if (options.verify || options.analyze) {
-    vctx = MakeVerifyContext(dataset);
     // The verifier follows UDF body plans; replan any staled by DDL first.
     mw_->db()->EnsureUdfPlansFresh();
-  }
-  if (options.analyze) {
-    // ANALYZE executes the plans, so install this session's verify context
-    // first — enforcement (debug builds / MTBASE_VERIFY_PLANS=1) proves the
-    // same invariants a plain execution of the statement would.
-    mw_->db()->set_verify_context(MakeVerifyContext(dataset));
   }
   std::string out;
   for (size_t i = 0; i < stmts.size(); ++i) {
@@ -788,15 +779,14 @@ Result<std::string> Session::Explain(const std::string& mtsql,
     std::string text;
     if (options.analyze) {
       MTB_ASSIGN_OR_RETURN(
-          text, mw_->db()->ExplainAnalyzeSelect(
-                    *s.select, options.verify ? &vctx : nullptr,
-                    analyze_result));
+          text, mw_->db()->ExplainAnalyzeSelect(*s.select, ctx, options.verify,
+                                                analyze_result));
     } else {
       MTB_ASSIGN_OR_RETURN(
           text,
           engine::ExplainSelect(mw_->db()->catalog(), mw_->db()->udfs(),
                                 *s.select, mw_->db()->planner_options(),
-                                options.verify ? &vctx : nullptr));
+                                options.verify ? &ctx.verify : nullptr));
     }
     out += text;
     // Fixed footer order: the engine renders the verify and analyze lines

@@ -326,7 +326,8 @@ class Session {
   /// The assumptions the engine's PlanVerifier may make about plans compiled
   /// from this session's statements: tenant-isolation checking on, expected
   /// tenant set D', unfiltered access admitted exactly when o1 elided the
-  /// D-filters. Installed on the engine database before every compile.
+  /// D-filters. Passed to the engine with every compile
+  /// (engine::StatementContext) and kept by the compiled plans.
   engine::verify::VerifyContext MakeVerifyContext(
       const std::vector<int64_t>& dataset) const;
   /// The provenance the rewrite auditor may assume about statements rewritten
@@ -350,8 +351,9 @@ class Session {
   /// Session-layer trace slot (obs::TraceRecordScope): the active MTSQL
   /// statement's trace record, or null outside a traced statement. Distinct
   /// from the engine Database's slot — with MTBASE_TRACE set, one statement
-  /// emits a session-layer record (parse/rewrite/audit/execute spans) plus
-  /// an engine-layer record per SQL statement sent down.
+  /// emits a session-layer record (parse/rewrite/audit spans, the plan/verify
+  /// spans of the compiles it triggers, and execute) plus an engine-layer
+  /// record per SQL statement sent down.
   obs::StatementTrace* active_trace_ = nullptr;
 };
 

@@ -279,6 +279,13 @@ struct Stmt {
   std::unique_ptr<GrantStmt> grant;
   std::unique_ptr<SetScopeStmt> set_scope;
   std::unique_ptr<DropStmt> drop;
+
+  /// SELECT/INSERT/UPDATE/DELETE: the kinds that compile to a plan and run
+  /// through the prepared path (engine::PreparedPlan, mt::PreparedQuery).
+  bool is_query_or_dml() const {
+    return kind == Kind::kSelect || kind == Kind::kInsert ||
+           kind == Kind::kUpdate || kind == Kind::kDelete;
+  }
 };
 
 }  // namespace sql

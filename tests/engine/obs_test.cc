@@ -245,7 +245,8 @@ TEST_F(ObsAnalyzeTest, AnnotatesEveryOperatorAndAppendsFooter) {
                                         "ORDER BY a DESC"));
   ResultSet rs;
   ASSERT_OK_AND_ASSIGN(std::string text,
-                       db_.ExplainAnalyzeSelect(*sel, nullptr, &rs));
+                       db_.ExplainAnalyzeSelect(*sel, StatementContext(),
+                                                /*verify_footer=*/false, &rs));
   EXPECT_EQ(rs.rows.size(), 3u);
   // Every operator line carries an [actual: ...] suffix; footers start with
   // '[' at column zero and sub-plan headers carry no profile of their own.
@@ -273,9 +274,10 @@ TEST_F(ObsAnalyzeTest, AnnotatesEveryOperatorAndAppendsFooter) {
 
 TEST_F(ObsAnalyzeTest, VerifyFooterPrecedesAnalyzeFooter) {
   ASSERT_OK_AND_ASSIGN(auto sel, sql::ParseSelect("SELECT a FROM t"));
-  verify::VerifyContext vctx;  // engine-level checks only
+  // Engine-level checks only (default VerifyContext).
   ASSERT_OK_AND_ASSIGN(std::string text,
-                       db_.ExplainAnalyzeSelect(*sel, &vctx, nullptr));
+                       db_.ExplainAnalyzeSelect(*sel, StatementContext(),
+                                                /*verify_footer=*/true));
   const size_t verify_pos = text.find("[verify: ok]");
   const size_t analyze_pos = text.find("[analyze: ");
   ASSERT_NE(verify_pos, std::string::npos) << text;
@@ -288,7 +290,8 @@ TEST_F(ObsAnalyzeTest, AnalyzeResultMatchesPlainExecution) {
   ASSERT_OK_AND_ASSIGN(ResultSet plain, db_.Execute(q));
   ASSERT_OK_AND_ASSIGN(auto sel, sql::ParseSelect(q));
   ResultSet analyzed;
-  ASSERT_OK(db_.ExplainAnalyzeSelect(*sel, nullptr, &analyzed));
+  ASSERT_OK(db_.ExplainAnalyzeSelect(*sel, StatementContext(),
+                                     /*verify_footer=*/false, &analyzed));
   EXPECT_EQ(CanonRows(analyzed.rows), CanonRows(plain.rows));
   EXPECT_EQ(analyzed.column_names, plain.column_names);
 }

@@ -5,6 +5,7 @@
 // plans through the test mutation hook (or build broken plans by hand) and
 // assert each violation class is caught with its machine-readable code.
 #include <cstdlib>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -206,6 +207,74 @@ TEST_F(VerifyTest, StrippedTenantPredicateCaught) {
   EXPECT_GT(stripped, 0);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("TENANT_PREDICATE_MISSING"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+/// Append literal `extra` to every `slot IN (...)` list under `e`: a
+/// D-filter widened past D'. Returns the number of lists widened.
+int WidenInLists(BoundExpr* e, int64_t extra) {
+  if (e == nullptr) return 0;
+  if (e->kind == BoundExpr::Kind::kInList &&
+      e->args[0]->kind == BoundExpr::Kind::kSlot) {
+    e->args.push_back(std::make_unique<BoundExpr>());
+    e->args.back()->literal = Value::Int(extra);
+    return 1;
+  }
+  int n = 0;
+  for (auto& a : e->args) n += WidenInLists(a.get(), extra);
+  return n;
+}
+
+int WidenInLists(Plan* p, int64_t extra) {
+  if (p == nullptr) return 0;
+  return WidenInLists(p->scan_filter.get(), extra) +
+         WidenInLists(p->predicate.get(), extra) +
+         WidenInLists(p->left.get(), extra) +
+         WidenInLists(p->right.get(), extra);
+}
+
+// A prepared handle keeps the verify context it was prepared under: the lazy
+// recompile after DDL proves the plan against that D' = {1}, not against the
+// default context current when it runs (D' = {2}), which would refuse it.
+TEST_F(VerifyTest, RecompileVerifiesAgainstPreparedContext) {
+  ScopedVerifyEnv env("1");
+  verify::VerifyContext own = TenantCtx();
+  own.expected_tenants = {1};
+  db_.set_verify_context(own);
+  ASSERT_OK_AND_ASSIGN(PreparedPlan plan,
+                       db_.Prepare("SELECT id FROM acc WHERE ttid IN (1)"));
+  verify::VerifyContext other = TenantCtx();
+  other.expected_tenants = {2};
+  db_.set_verify_context(other);
+  ASSERT_OK(db_.Execute("CREATE INDEX acc_balance ON acc (balance)"));
+  StatsScope stats(db_.stats());
+  auto r = plan.Execute();
+  db_.set_verify_context(verify::VerifyContext());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().rows.size(), 4u);
+  EXPECT_GT(stats.Delta().plans_verified, 0u);
+}
+
+// The other direction: a recompile whose plan drifted past the prepared D'
+// is refused even though the current default context checks no tenants.
+TEST_F(VerifyTest, RecompileRefusesWidenedPlanUnderPreparedContext) {
+  ScopedVerifyEnv env("1");
+  verify::VerifyContext own = TenantCtx();
+  own.expected_tenants = {1};
+  db_.set_verify_context(own);
+  ASSERT_OK_AND_ASSIGN(PreparedPlan plan,
+                       db_.Prepare("SELECT id FROM acc WHERE ttid IN (1)"));
+  int widened = 0;
+  db_.set_plan_mutation_hook_for_testing(
+      [&widened](Plan* p) { widened += WidenInLists(p, 3); });
+  db_.set_verify_context(verify::VerifyContext());  // check_tenant = false
+  ASSERT_OK(db_.Execute("CREATE INDEX acc_balance ON acc (balance)"));
+  auto r = plan.Execute();
+  db_.set_plan_mutation_hook_for_testing(nullptr);
+  EXPECT_GT(widened, 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("TENANT_SET_MISMATCH"),
             std::string::npos)
       << r.status().ToString();
 }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/obs/trace.h"
 #include "mth/runner.h"
 #include "tests/test_util.h"
 
@@ -159,39 +160,11 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, ObservabilityTest,
                            return std::string(buf);
                          });
 
-#define EXPECT_STATS_FIELD_EQ(a, b, field) \
-  EXPECT_EQ((a).field, (b).field) << #field
-
 void ExpectStatsEqual(const engine::ExecStats& a, const engine::ExecStats& b) {
-  EXPECT_STATS_FIELD_EQ(a, b, rows_scanned);
-  EXPECT_STATS_FIELD_EQ(a, b, rows_joined);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_calls);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_shared_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_cache_misses);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_parallel_evals);
-  EXPECT_STATS_FIELD_EQ(a, b, subquery_execs);
-  EXPECT_STATS_FIELD_EQ(a, b, initplan_execs);
-  EXPECT_STATS_FIELD_EQ(a, b, decorrelated_execs);
-  EXPECT_STATS_FIELD_EQ(a, b, statements_parsed);
-  EXPECT_STATS_FIELD_EQ(a, b, statements_rewritten);
-  EXPECT_STATS_FIELD_EQ(a, b, statements_planned);
-  EXPECT_STATS_FIELD_EQ(a, b, prepare_count);
-  EXPECT_STATS_FIELD_EQ(a, b, plan_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, rewrite_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, parallel_morsels);
-  EXPECT_STATS_FIELD_EQ(a, b, parallel_joins);
-  EXPECT_STATS_FIELD_EQ(a, b, parallel_sorts);
-  EXPECT_STATS_FIELD_EQ(a, b, topn_pushdowns);
-  EXPECT_STATS_FIELD_EQ(a, b, topn_rows_pruned);
-  EXPECT_STATS_FIELD_EQ(a, b, threads_used);
-  EXPECT_STATS_FIELD_EQ(a, b, plans_verified);
-  EXPECT_STATS_FIELD_EQ(a, b, verify_violations);
-  EXPECT_STATS_FIELD_EQ(a, b, rewrites_audited);
-  EXPECT_STATS_FIELD_EQ(a, b, audit_violations);
+  for (const engine::ExecStatsField& f : engine::kExecStatsFields) {
+    EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
+  }
 }
-
-#undef EXPECT_STATS_FIELD_EQ
 
 // Two StatsScopes opened around the same parallel Q6 run must report the
 // same delta: scopes snapshot without resetting the live counters, so
@@ -214,6 +187,57 @@ TEST(ObservabilityMiscTest, OverlappingStatsScopesAgreeUnderParallelism) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ExpectStatsEqual(outer_d, inner_d);
   EXPECT_GT(outer_d.rows_scanned, 0u);
+}
+
+// A session statement's first execution compiles its plans. With
+// verification on, the compile's plan and verify spans belong in the
+// session-layer record, and the execute span over a ttid-hash-partitioned
+// table reports the partitions it pruned (own-tenant scope: D' = {1}).
+TEST(ObservabilityMiscTest, SessionTraceCarriesCompileSpansAndPruning) {
+  MthConfig cfg;
+  cfg.scale_factor = 0.001;
+  cfg.num_tenants = 3;
+  cfg.partitions = 4;
+  ASSERT_OK_AND_ASSIGN(auto env,
+                       SetupEnvironment(cfg, engine::DbmsProfile::kPostgres,
+                                        /*with_baseline=*/false));
+  mt::Session session(env->middleware.get(), 1);
+  const std::string path =
+      ::testing::TempDir() + "/obs_session_trace.jsonl";
+  std::remove(path.c_str());
+  const char* gate = std::getenv("MTBASE_VERIFY_PLANS");
+  const std::string saved_gate = gate != nullptr ? gate : "";
+  setenv("MTBASE_VERIFY_PLANS", "1", 1);
+  Result<engine::ResultSet> run = engine::ResultSet();
+  {
+    obs::Tracer tracer(path);
+    obs::Tracer::SetGlobalForTesting(&tracer);
+    run = session.Execute(GetMthQuery(6, cfg.scale_factor).sql);
+    obs::Tracer::SetGlobalForTesting(nullptr);
+  }
+  if (gate != nullptr) {
+    setenv("MTBASE_VERIFY_PLANS", saved_gate.c_str(), 1);
+  } else {
+    unsetenv("MTBASE_VERIFY_PLANS");
+  }
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::ifstream in(path);
+  std::string line, session_record;
+  while (std::getline(in, line)) {
+    if (line.find("\"layer\": \"session\"") != std::string::npos) {
+      session_record = line;
+    }
+  }
+  ASSERT_FALSE(session_record.empty()) << "no session record in " << path;
+  EXPECT_NE(session_record.find("\"phase\": \"plan\""), std::string::npos)
+      << session_record;
+  EXPECT_NE(session_record.find("\"phase\": \"verify\""), std::string::npos)
+      << session_record;
+  const size_t execute = session_record.find("\"phase\": \"execute\"");
+  ASSERT_NE(execute, std::string::npos) << session_record;
+  EXPECT_NE(session_record.find("\"partitions_pruned\": ", execute),
+            std::string::npos)
+      << session_record;
 }
 
 // Trace-file smoke: when the harness (CI quick lane) sets MTBASE_TRACE, the

@@ -11,40 +11,28 @@ substrings, not the whole grammar).
 Usage: python3 tools/check_trace_schema.py <trace.jsonl>
 """
 import json
+import os
+import re
 import sys
 
 LAYERS = {"engine", "session"}
 OUTCOMES = {"ok", "refused", "error"}
 PHASES = {"parse", "rewrite", "audit", "plan", "verify", "execute"}
-# ExecStats fields, mirroring AppendStatsJson in src/engine/obs/trace.cc.
-STATS_FIELDS = {
-    "rows_scanned",
-    "rows_joined",
-    "udf_calls",
-    "udf_cache_hits",
-    "udf_shared_cache_hits",
-    "udf_cache_misses",
-    "udf_parallel_evals",
-    "subquery_execs",
-    "initplan_execs",
-    "decorrelated_execs",
-    "statements_parsed",
-    "statements_rewritten",
-    "statements_planned",
-    "prepare_count",
-    "plan_cache_hits",
-    "rewrite_cache_hits",
-    "parallel_morsels",
-    "parallel_joins",
-    "parallel_sorts",
-    "topn_pushdowns",
-    "topn_rows_pruned",
-    "threads_used",
-    "plans_verified",
-    "verify_violations",
-    "rewrites_audited",
-    "audit_violations",
-}
+# ExecStats fields: read from the X(name, merge) field table in
+# src/engine/stats.h, the one place the C++ side names them.
+STATS_HEADER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "src", "engine", "stats.h")
+
+
+def load_stats_fields(path=STATS_HEADER):
+    with open(path, encoding="utf-8") as f:
+        fields = set(re.findall(r"^\s*X\((\w+), k\w+\)", f.read(), re.M))
+    if not fields:
+        raise SystemExit(f"{path}: no ExecStats field table found")
+    return fields
+
+
+STATS_FIELDS = load_stats_fields()
 RECORD_KEYS = {"seq", "layer", "statement", "outcome", "codes", "spans"}
 SPAN_KEYS = {"phase", "duration_ms", "outcome", "codes", "stats"}
 
