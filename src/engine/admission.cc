@@ -32,7 +32,14 @@ int AdmissionController::queue_depth() const {
   return static_cast<int>(next_ticket_ - serving_);
 }
 
-void AdmissionController::NotifyAll() { cv_.notify_all(); }
+void AdmissionController::NotifyAll() {
+  // A waiter holds mu_ from its check until wait_for releases it, so a
+  // notify sent without taking mu_ could land in between and be lost until
+  // the 50 ms timeout. Cancel tokens flip outside mu_; taking it here orders
+  // this wakeup after any such check.
+  { std::lock_guard<std::mutex> lock(mu_); }
+  cv_.notify_all();
+}
 
 Status AdmissionController::Acquire(const std::atomic<bool>* cancelled) {
   auto* metrics = obs::MetricsRegistry::Global();
@@ -89,7 +96,12 @@ Status AdmissionController::Acquire(const std::atomic<bool>* cancelled) {
 }
 
 void AdmissionController::Release() {
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  {
+    // Under mu_, like every other change to what a waiter checks, so the
+    // wakeup below cannot be lost (see NotifyAll).
+    std::lock_guard<std::mutex> lock(mu_);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  }
   cv_.notify_all();
 }
 

@@ -146,6 +146,13 @@ struct Plan {
   bool pruned = false;
   std::vector<uint32_t> partitions;
 
+  // kScan / kIndexScan column pruning (planner post-pass, PruneColumns):
+  // when `projected`, the scan emits only the listed table slots, in this
+  // order, and `columns` describes them. scan_filter still binds the full
+  // table row — partition pruning and index selection read it there.
+  bool projected = false;
+  std::vector<int> scan_columns;
+
   // kIndexScan: equality/IN keys on the index's leading column. The index is
   // resolved by name against `table` at execution time; the raw-pointer
   // safety argument is the same as for `table` (any DDL bumps the catalog
@@ -193,12 +200,13 @@ using PlanPtr = std::unique_ptr<Plan>;
 /// args, CASE operand and ELSE branch (not the sub-plan; walkers decide
 /// whether to descend into plans themselves). The single child enumeration
 /// shared by every recursive expression walker, so a new child field only
-/// needs wiring here.
-template <typename Fn>
-void ForEachExprChild(const BoundExpr& e, Fn&& fn) {
-  for (const auto& a : e.args) fn(static_cast<const BoundExpr&>(*a));
-  if (e.case_operand) fn(static_cast<const BoundExpr&>(*e.case_operand));
-  if (e.else_expr) fn(static_cast<const BoundExpr&>(*e.else_expr));
+/// needs wiring here. A non-const `e` hands out mutable children (the
+/// planner's slot remapping).
+template <typename Expr, typename Fn>
+void ForEachExprChild(Expr& e, Fn&& fn) {
+  for (const auto& a : e.args) fn(static_cast<Expr&>(*a));
+  if (e.case_operand) fn(static_cast<Expr&>(*e.case_operand));
+  if (e.else_expr) fn(static_cast<Expr&>(*e.else_expr));
 }
 
 /// Invoke fn(const BoundExpr&) on every expression hanging off this plan

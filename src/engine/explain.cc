@@ -68,10 +68,12 @@ std::vector<const Plan*> ImmediateChildren(const Plan& p) {
 /// Append the EXPLAIN (ANALYZE) annotation: " [actual: rows=N ...]" from the
 /// node's OpProfile, or " [actual: never executed]" for nodes the execution
 /// skipped (e.g. a sub-plan behind a short-circuited predicate). rows/time/
-/// cpu are inclusive of the subtree; morsels and udf/hit are exclusive (the
-/// immediate children's inclusive deltas are subtracted) so per-operator
-/// attribution reads directly. loops appears when the node executed more
-/// than once (per-row sub-plans); workers when a parallel region engaged.
+/// cpu are inclusive of the subtree; scanned, morsels and udf/hit are
+/// exclusive (the immediate children's inclusive deltas are subtracted) so
+/// per-operator attribution reads directly. scanned (table scans only) is
+/// the rows the scan visited, next to the rows it returned. loops appears
+/// when the node executed more than once (per-row sub-plans); workers when a
+/// parallel region engaged.
 void AppendActual(const Plan& p, const ExplainCtx* ctx, std::string* out) {
   if (ctx == nullptr || ctx->profiles == nullptr) return;
   const obs::OpProfile* prof = ctx->profiles->Find(&p);
@@ -82,12 +84,14 @@ void AppendActual(const Plan& p, const ExplainCtx* ctx, std::string* out) {
   uint64_t child_morsels = 0;
   uint64_t child_udf = 0;
   uint64_t child_hits = 0;
+  uint64_t child_scanned = 0;
   for (const Plan* c : ImmediateChildren(p)) {
     const obs::OpProfile* cp = ctx->profiles->Find(c);
     if (cp == nullptr) continue;
     child_morsels += cp->morsels;
     child_udf += cp->udf_calls;
     child_hits += cp->udf_cache_hits;
+    child_scanned += cp->rows_scanned;
   }
   const uint64_t morsels =
       prof->morsels > child_morsels ? prof->morsels - child_morsels : 0;
@@ -97,6 +101,13 @@ void AppendActual(const Plan& p, const ExplainCtx* ctx, std::string* out) {
       prof->udf_cache_hits > child_hits ? prof->udf_cache_hits - child_hits
                                         : 0;
   *out += " [actual: rows=" + std::to_string(prof->rows_out);
+  if ((p.kind == Plan::Kind::kScan || p.kind == Plan::Kind::kIndexScan) &&
+      p.table != nullptr) {
+    const uint64_t scanned = prof->rows_scanned > child_scanned
+                                 ? prof->rows_scanned - child_scanned
+                                 : 0;
+    *out += " scanned=" + std::to_string(scanned);
+  }
   if (prof->executions > 1) {
     *out += " loops=" + std::to_string(prof->executions);
   }
@@ -202,6 +213,14 @@ void AppendUdf(const Plan& p, std::string* out) {
   }
 }
 
+/// Append " [columns: k/n]" for a projected scan: it emits k of its
+/// table's n columns (column pruning, planner.cc).
+void AppendColumns(const Plan& p, std::string* out) {
+  if (!p.projected || p.table == nullptr) return;
+  *out += " [columns: " + std::to_string(p.scan_columns.size()) + "/" +
+          std::to_string(p.table->schema().columns.size()) + "]";
+}
+
 void Render(const Plan& p, int depth, const ExplainCtx* ctx, std::string* out);
 
 /// Render the sub-plans reachable from an expression. Correlated sub-queries
@@ -251,6 +270,7 @@ void Render(const Plan& p, int depth, const ExplainCtx* ctx,
         *out += " [partitions: " + std::to_string(total - kept) + "/" +
                 std::to_string(total) + " pruned]";
       }
+      AppendColumns(p, out);
       AppendUdf(p, out);
       AppendParallel(p, ctx, out);
       AppendActual(p, ctx, out);
@@ -277,6 +297,7 @@ void Render(const Plan& p, int depth, const ExplainCtx* ctx,
         *out += ")";
       }
       *out += "]";
+      AppendColumns(p, out);
       AppendUdf(p, out);
       AppendActual(p, ctx, out);
       *out += "\n";

@@ -89,7 +89,9 @@ void RunPoolProfiled(ExecContext* ctx, int workers,
 /// p.table->rows(), in the given order — exec.cc passes the ascending
 /// (insertion-order) survivor list of partition pruning or an index lookup,
 /// so pruned and full scans emit rows in the same order. rows_scanned counts
-/// candidates only, identically for serial and parallel execution.
+/// candidates only, identically for serial and parallel execution. A
+/// projected scan (Plan::projected) emits only Plan::scan_columns of each
+/// surviving row; scan_filter is evaluated over the full row.
 Result<std::vector<Row>> ScanExec(const Plan& p, ExecContext* ctx, int workers,
                                   const std::vector<uint32_t>* candidates =
                                       nullptr);

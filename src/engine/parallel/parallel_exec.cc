@@ -333,7 +333,16 @@ Status ScanRange(const Plan& p, const std::vector<Row>& rows,
       MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.scan_filter, r, ctx));
       if (!IsTrue(v)) continue;
     }
-    out->push_back(r);
+    if (!p.projected) {
+      out->push_back(r);
+      continue;
+    }
+    // Column pruning: emit only the table slots the plan reads (the filter
+    // above saw the full row).
+    Row projected;
+    projected.reserve(p.scan_columns.size());
+    for (int c : p.scan_columns) projected.push_back(r[static_cast<size_t>(c)]);
+    out->push_back(std::move(projected));
   }
   return Status::OK();
 }

@@ -1596,10 +1596,10 @@ void CollectConjuncts(const BoundExpr& e, std::vector<const BoundExpr*>* out) {
   out->push_back(&e);
 }
 
-/// Integer-literal image of an equality/IN conjunct over a scan output slot:
+/// Integer-literal image of an equality/IN conjunct over a table slot:
 /// `slot = 7` or `slot IN (3, 5)`. Fills `keys` and returns the slot, or -1
-/// when the conjunct has any other shape. Scan output slots are the table's
-/// schema slots (base scans project every schema column in order), so the
+/// when the conjunct has any other shape. A scan_filter always binds the
+/// full table row (column pruning narrows only what the scan emits), so the
 /// result compares directly against PartitionScheme::column / index slots.
 int ConjunctKeySlot(const BoundExpr& e, std::vector<int64_t>* keys) {
   if (e.kind == BoundExpr::Kind::kBinary && e.bin_op == BinOp::kEq) {
@@ -1686,6 +1686,205 @@ void ApplyPhysicalAccessPaths(Plan* p) {
   ApplyPhysicalAccessPaths(p->right.get());
 }
 
+// ---------------------------------------------------------------------------
+// Column pruning
+// ---------------------------------------------------------------------------
+//
+// Walks the plan top-down with the set of output slots each parent reads and
+// narrows every node to them: scans emit only the projected table slots,
+// projections drop unread expressions, and joins, filters, sorts and limits
+// pass a narrower need down and remap their own slots through the returned
+// old -> new slot map (-1 = pruned). Aggregates and DISTINCT keep their
+// outputs; DISTINCT also keeps its whole input (every column is part of the
+// row's identity).
+
+using SlotMap = std::vector<int>;
+
+SlotMap PruneNode(Plan* p, const std::vector<bool>& needed);
+
+SlotMap IdentityMap(size_t n) {
+  SlotMap map(n);
+  for (size_t i = 0; i < n; ++i) map[i] = static_cast<int>(i);
+  return map;
+}
+
+std::vector<bool> AllOutputs(const Plan& p) {
+  return std::vector<bool>(p.columns.size(), true);
+}
+
+/// Mark the input slots `e` reads. Sub-plans are not descended into: their
+/// kSlot references index their own rows.
+void MarkSlots(const BoundExpr& e, std::vector<bool>* used) {
+  if (e.kind == BoundExpr::Kind::kSlot) {
+    (*used)[static_cast<size_t>(e.slot)] = true;
+  }
+  ForEachExprChild(e, [used](const BoundExpr& c) { MarkSlots(c, used); });
+}
+
+void RemapSlots(BoundExpr* e, const SlotMap& map) {
+  if (e == nullptr) return;
+  if (e->kind == BoundExpr::Kind::kSlot) {
+    e->slot = map[static_cast<size_t>(e->slot)];
+  }
+  ForEachExprChild(*e, [&map](BoundExpr& c) { RemapSlots(&c, map); });
+}
+
+/// True when evaluating `e` runs a correlated sub-plan. Its kOuterSlot
+/// references index the row `e` is evaluated against, so that row must keep
+/// the layout it was bound over.
+bool RunsCorrelatedSubplan(const BoundExpr& e) {
+  if (e.subplan != nullptr && e.correlated) return true;
+  bool found = false;
+  ForEachExprChild(e, [&found](const BoundExpr& c) {
+    found = found || RunsCorrelatedSubplan(c);
+  });
+  return found;
+}
+
+bool NeedsWholeInput(const Plan& p) {
+  bool whole = false;
+  ForEachPlanExpr(p, [&whole](const BoundExpr& e) {
+    whole = whole || RunsCorrelatedSubplan(e);
+  });
+  return whole;
+}
+
+/// Expression sub-plans are closed plans whose every output the evaluator
+/// reads (IN tuples, scalar values): only their insides are pruned. The
+/// planner exclusively owns the freshly built tree, as in
+/// ApplyPhysicalAccessPaths. UDF body plans are not visited: each was built
+/// (and pruned) by its own Planner::PlanSelect call.
+void PruneExprSubplans(const BoundExpr& e) {
+  if (e.subplan != nullptr) {
+    Plan* sub = const_cast<Plan*>(e.subplan.get());
+    PruneNode(sub, AllOutputs(*sub));
+  }
+  ForEachExprChild(e, [](const BoundExpr& c) { PruneExprSubplans(c); });
+}
+
+SlotMap PruneScan(Plan* p, const std::vector<bool>& needed) {
+  if (p->table == nullptr ||
+      std::all_of(needed.begin(), needed.end(), [](bool b) { return b; })) {
+    return IdentityMap(needed.size());
+  }
+  SlotMap map(needed.size(), -1);
+  std::vector<int> table_slots;
+  std::vector<ColumnMeta> cols;
+  for (size_t i = 0; i < needed.size(); ++i) {
+    if (!needed[i]) continue;
+    map[i] = static_cast<int>(table_slots.size());
+    table_slots.push_back(static_cast<int>(i));
+    cols.push_back(p->columns[i]);
+  }
+  p->projected = true;
+  p->scan_columns = std::move(table_slots);
+  p->columns = std::move(cols);
+  return map;
+}
+
+SlotMap PruneJoin(Plan* p, const std::vector<bool>& needed, bool whole) {
+  const size_t nl = p->left->columns.size();
+  const size_t nr = p->right->columns.size();
+  const bool concat_out =
+      p->join_kind == JoinKind::kInner || p->join_kind == JoinKind::kLeft;
+  std::vector<bool> need_l(nl, whole);
+  std::vector<bool> need_r(nr, whole);
+  for (size_t i = 0; i < nl; ++i) need_l[i] = need_l[i] || needed[i];
+  if (concat_out) {
+    for (size_t i = 0; i < nr; ++i) need_r[i] = need_r[i] || needed[nl + i];
+  }
+  for (const auto& k : p->left_keys) MarkSlots(*k, &need_l);
+  for (const auto& k : p->right_keys) MarkSlots(*k, &need_r);
+  if (p->residual) {
+    std::vector<bool> need_c(nl + nr, false);
+    MarkSlots(*p->residual, &need_c);
+    for (size_t i = 0; i < nl; ++i) need_l[i] = need_l[i] || need_c[i];
+    for (size_t i = 0; i < nr; ++i) need_r[i] = need_r[i] || need_c[nl + i];
+  }
+  const SlotMap lmap = PruneNode(p->left.get(), need_l);
+  const SlotMap rmap = PruneNode(p->right.get(), need_r);
+  const int new_nl = static_cast<int>(p->left->columns.size());
+  SlotMap cmap = lmap;
+  for (int r : rmap) cmap.push_back(r < 0 ? -1 : new_nl + r);
+  for (auto& k : p->left_keys) RemapSlots(k.get(), lmap);
+  for (auto& k : p->right_keys) RemapSlots(k.get(), rmap);
+  RemapSlots(p->residual.get(), cmap);
+  p->columns = p->left->columns;
+  if (!concat_out) return lmap;
+  p->columns.insert(p->columns.end(), p->right->columns.begin(),
+                    p->right->columns.end());
+  return cmap;
+}
+
+SlotMap PruneNode(Plan* p, const std::vector<bool>& needed) {
+  // Output slot map of the operators that keep their outputs; a projection
+  // first drops the outputs nobody reads, which are then never evaluated.
+  SlotMap out = IdentityMap(p->columns.size());
+  if (p->kind == Plan::Kind::kProject) {
+    std::vector<BoundExprPtr> exprs;
+    std::vector<ColumnMeta> cols;
+    for (size_t i = 0; i < p->exprs.size(); ++i) {
+      if (!needed[i]) {
+        out[i] = -1;
+        continue;
+      }
+      out[i] = static_cast<int>(exprs.size());
+      exprs.push_back(std::move(p->exprs[i]));
+      cols.push_back(p->columns[i]);
+    }
+    p->exprs = std::move(exprs);
+    p->columns = std::move(cols);
+  }
+  ForEachPlanExpr(*p, [](const BoundExpr& e) { PruneExprSubplans(e); });
+  const bool whole = NeedsWholeInput(*p);
+  switch (p->kind) {
+    case Plan::Kind::kScan:
+    case Plan::Kind::kIndexScan:
+      return PruneScan(p, needed);
+    case Plan::Kind::kJoin:
+      return PruneJoin(p, needed, whole);
+    case Plan::Kind::kProject:
+    case Plan::Kind::kAggregate: {
+      // Projections / group keys and aggregate arguments over the input.
+      std::vector<bool> need(p->left->columns.size(), whole);
+      for (const auto& e : p->exprs) MarkSlots(*e, &need);
+      for (const auto& a : p->aggs) {
+        if (a.arg) MarkSlots(*a.arg, &need);
+      }
+      const SlotMap map = PruneNode(p->left.get(), need);
+      for (auto& e : p->exprs) RemapSlots(e.get(), map);
+      for (auto& a : p->aggs) RemapSlots(a.arg.get(), map);
+      return out;
+    }
+    case Plan::Kind::kDistinct:
+      PruneNode(p->left.get(), AllOutputs(*p->left));
+      return out;
+    case Plan::Kind::kFilter:
+    case Plan::Kind::kSort:
+    case Plan::Kind::kTopN:
+    case Plan::Kind::kLimit: {
+      // Row-preserving operators: output layout = input layout.
+      std::vector<bool> need = needed;
+      if (whole) need.assign(need.size(), true);
+      if (p->predicate) MarkSlots(*p->predicate, &need);
+      for (const auto& [slot, desc] : p->sort_keys) {
+        (void)desc;
+        need[static_cast<size_t>(slot)] = true;
+      }
+      const SlotMap map = PruneNode(p->left.get(), need);
+      RemapSlots(p->predicate.get(), map);
+      for (auto& key : p->sort_keys) {
+        key.first = map[static_cast<size_t>(key.first)];
+      }
+      p->columns = p->left->columns;
+      return map;
+    }
+  }
+  return out;
+}
+
+void PruneColumns(Plan* plan) { PruneNode(plan, AllOutputs(*plan)); }
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1699,6 +1898,10 @@ Result<PlanPtr> Planner::PlanSelect(const sql::SelectStmt& sel) const {
   // pruning, index scans) before parallel-safety marking, which needs the
   // final operator kinds.
   if (options_.physical_access_paths) ApplyPhysicalAccessPaths(plan.get());
+  // Narrow every operator to the columns its consumers read. Runs after the
+  // access paths (which read scan filters over the full table row, unchanged
+  // by pruning) and before parallel marking.
+  PruneColumns(plan.get());
   // Mark which operators the executor may run on worker threads (covers
   // nested sub-plans too). Purely advisory: execution still gates on input
   // size and the max_threads budget.

@@ -69,12 +69,22 @@ std::vector<ColumnMeta> ConcatLayout(const Plan& p) {
   return layout;
 }
 
+/// The full table row a scan_filter binds over (a projected scan's own
+/// output layout is narrower).
+std::vector<ColumnMeta> TableLayout(const Plan& p) {
+  std::vector<ColumnMeta> layout;
+  if (p.table == nullptr) return layout;
+  for (const auto& c : p.table->schema().columns) {
+    layout.push_back({"", c.name});
+  }
+  return layout;
+}
+
 int StripNode(Plan* p, const std::string& ttid_column) {
   int stripped = 0;
   if (p->scan_filter) {
-    // A scan's output layout is the table layout its filter is bound over.
-    p->scan_filter =
-        Strip(std::move(p->scan_filter), p->columns, ttid_column, &stripped);
+    p->scan_filter = Strip(std::move(p->scan_filter), TableLayout(*p),
+                           ttid_column, &stripped);
   }
   if (p->predicate && p->left) {
     p->predicate = Strip(std::move(p->predicate), p->left->columns,
@@ -117,6 +127,19 @@ bool WidenPartitionPruning(Plan* plan) {
   }
   if (plan->left && WidenPartitionPruning(plan->left.get())) return true;
   if (plan->right && WidenPartitionPruning(plan->right.get())) return true;
+  return false;
+}
+
+bool CorruptScanColumns(Plan* plan) {
+  if ((plan->kind == Plan::Kind::kScan ||
+       plan->kind == Plan::Kind::kIndexScan) &&
+      plan->projected && plan->table != nullptr) {
+    plan->scan_columns.push_back(
+        static_cast<int>(plan->table->schema().columns.size()));
+    return true;
+  }
+  if (plan->left && CorruptScanColumns(plan->left.get())) return true;
+  if (plan->right && CorruptScanColumns(plan->right.get())) return true;
   return false;
 }
 

@@ -29,6 +29,12 @@ bool MislabelFirstSerialNode(Plan* plan);
 /// has no sort keys.
 bool BreakFirstSortKey(Plan* plan);
 
+/// Append a table slot one past the end to the first projected scan's
+/// scan_columns — simulating column-pruning bookkeeping drift: the scan now
+/// reads outside its table and promises one column more than its output
+/// layout has. Returns false when no scan was projected.
+bool CorruptScanColumns(Plan* plan);
+
 /// Widen the first pruned scan's partition set to every partition of its
 /// table — simulating a pruning pass whose superset cut drifted past the
 /// D-filter's tenant image. Returns false when no scan was pruned.

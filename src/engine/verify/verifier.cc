@@ -417,49 +417,82 @@ class VerifierImpl {
     return TenantState();
   }
 
+  /// A scan's scan_filter binds the full table row; a projected scan then
+  /// emits only its scan_columns. The structure proof checks both layouts,
+  /// and the tenant proof runs over the full row before mapping the ttid
+  /// state through the projection: a pending ttid projected away here can
+  /// never be restricted by an ancestor, so it is reported at the scan.
   TenantState VerifyScan(const Plan& p) {
     CheckParallelSafety(p);
-    if (p.table != nullptr &&
-        p.columns.size() != p.table->schema().columns.size()) {
+    const size_t table_arity =
+        p.table != nullptr ? p.table->schema().columns.size() : 0;
+    if (p.table != nullptr) VerifyScanLayout(p, table_arity);
+    if (p.scan_filter) {
+      CheckExprSlots(*p.scan_filter, table_arity, &p, "scan filter");
+      VerifyExprSubplans(*p.scan_filter, table_arity);
+    }
+    if (!TenantChecksOn() || p.table == nullptr || !IsTenantTable(*p.table)) {
+      return TenantState();
+    }
+    VerifyPartitionSet(p);
+    TenantState state;
+    if (ctx_->allow_unfiltered) return state;
+    const auto& schema_cols = p.table->schema().columns;
+    int ttid_slot = -1;
+    for (size_t i = 0; i < schema_cols.size(); ++i) {
+      if (EqualsIgnoreCase(schema_cols[i].name, ctx_->ttid_column)) {
+        ttid_slot = static_cast<int>(i);
+        break;
+      }
+    }
+    if (ttid_slot < 0) {
+      Report(ViolationCode::kTenantPredicateMissing,
+             "tenant-specific table " + p.table->schema().name +
+                 " exposes no " + ctx_->ttid_column +
+                 " column to restrict on",
+             &p);
+      return state;
+    }
+    TtidSlot t;
+    t.slot = ttid_slot;
+    t.scan = &p;
+    t.table = p.table->schema().name;
+    state.pending.push_back(std::move(t));
+    if (p.scan_filter) ApplyPredicate(*p.scan_filter, &state);
+    if (!p.projected) return state;
+    std::vector<BoundExprPtr> forwards;
+    for (int c : p.scan_columns) {
+      auto e = std::make_unique<BoundExpr>();
+      e->kind = BoundExpr::Kind::kSlot;
+      e->slot = c;
+      forwards.push_back(std::move(e));
+    }
+    return RemapThroughExprs(std::move(state), forwards);
+  }
+
+  /// Output layout of a table scan: the full table row, or exactly the
+  /// scan_columns of a projected scan, each inside the table.
+  void VerifyScanLayout(const Plan& p, size_t table_arity) {
+    const std::string& name = p.table->schema().name;
+    const size_t expect = p.projected ? p.scan_columns.size() : table_arity;
+    if (p.columns.size() != expect) {
       Report(ViolationCode::kArityMismatch,
-             "scan of " + p.table->schema().name + " outputs " +
-                 std::to_string(p.columns.size()) + " columns but the table has " +
-                 std::to_string(p.table->schema().columns.size()),
+             "scan of " + name + " outputs " +
+                 std::to_string(p.columns.size()) + " columns but " +
+                 (p.projected ? "projects " : "the table has ") +
+                 std::to_string(expect),
              &p);
     }
-    if (p.scan_filter) {
-      CheckExprSlots(*p.scan_filter, p.columns.size(), &p, "scan filter");
-      VerifyExprSubplans(*p.scan_filter, p.columns.size());
-    }
-    if (TenantChecksOn() && p.table != nullptr && IsTenantTable(*p.table)) {
-      VerifyPartitionSet(p);
-    }
-    TenantState state;
-    if (TenantChecksOn() && p.table != nullptr && IsTenantTable(*p.table)) {
-      if (ctx_->allow_unfiltered) return state;
-      int ttid_slot = -1;
-      for (size_t i = 0; i < p.columns.size(); ++i) {
-        if (EqualsIgnoreCase(p.columns[i].name, ctx_->ttid_column)) {
-          ttid_slot = static_cast<int>(i);
-          break;
-        }
-      }
-      if (ttid_slot < 0) {
-        Report(ViolationCode::kTenantPredicateMissing,
-               "tenant-specific table " + p.table->schema().name +
-                   " exposes no " + ctx_->ttid_column +
-                   " column to restrict on",
+    if (!p.projected) return;
+    for (int c : p.scan_columns) {
+      if (c < 0 || static_cast<size_t>(c) >= table_arity) {
+        Report(ViolationCode::kSlotOutOfRange,
+               "projected scan of " + name + " reads table slot " +
+                   std::to_string(c) + " but the table has " +
+                   std::to_string(table_arity) + " columns",
                &p);
-        return state;
       }
-      TtidSlot t;
-      t.slot = ttid_slot;
-      t.scan = &p;
-      t.table = p.table->schema().name;
-      state.pending.push_back(std::move(t));
-      if (p.scan_filter) ApplyPredicate(*p.scan_filter, &state);
     }
-    return state;
   }
 
   /// Prove a pruned scan's partition set lies inside the image of D' under

@@ -49,7 +49,8 @@ enum class ViolationCode : uint8_t {
   /// A subplan marked parallel_safe contains serial-only state (volatile or
   /// stable UDF calls, outer references, sub-plans, serial operator shapes).
   kParallelUnsafeSubplan,
-  /// An expression references a slot outside its input layout.
+  /// An expression references a slot outside its input layout, or a
+  /// projected scan reads a table slot outside its table.
   kSlotOutOfRange,
   /// Operator output arity disagrees with its inputs (or a child is missing).
   kArityMismatch,

@@ -7,6 +7,7 @@
 // counter reconciliation, and a queued statement aborting cleanly when its
 // cancel token flips — the session-teardown path).
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -124,6 +125,45 @@ TEST(AdmissionControllerTest, CancelledWaiterAbortsAndQueueDrains) {
   EXPECT_EQ(ac.queue_depth(), 0);
   EXPECT_GT(metrics->CounterValue("mtbase_engine_statements_cancelled_total"),
             cancelled_before);
+}
+
+// Regression: Release and NotifyAll used to notify without taking the queue
+// mutex, so a waiter between its admission check and its wait_for missed the
+// wakeup and slept out the 50 ms safety timeout — at limit 1 stalling every
+// statement queued behind it. With the wakeup ordered, an admission wait is
+// bounded by the holders' tiny critical sections, far below the timeout.
+TEST(AdmissionControllerTest, ReleaseWakesQueuedWaiterWithoutTimeout) {
+  AdmissionController ac;
+  ac.set_limit(1);
+  constexpr int kThreads = 4;
+  constexpr int kCycles = 2000;
+  std::atomic<int64_t> worst_us{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCycles; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        if (!ac.Acquire(nullptr).ok()) {
+          ++errors;
+          continue;
+        }
+        const int64_t waited =
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        int64_t seen = worst_us.load();
+        while (waited > seen && !worst_us.compare_exchange_weak(seen, waited)) {
+        }
+        ac.Release();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(ac.in_flight(), 0);
+  EXPECT_LT(worst_us.load(), 25000) << "an admission wait reached the 50 ms "
+                                       "safety timeout: a wakeup was lost";
 }
 
 class AdmissionDatabaseTest : public ::testing::Test {

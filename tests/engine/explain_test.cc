@@ -133,8 +133,9 @@ TEST_F(ExplainTest, UdfMarker) {
       "CREATE FUNCTION twice (INTEGER) RETURNS INTEGER AS 'SELECT $1 + $1' "
       "LANGUAGE SQL IMMUTABLE").status());
   std::string plan = Explain("SELECT twice(x) FROM a WHERE twice(y) > 2");
-  EXPECT_NE(plan.find("Scan a (filtered) [udf: immutable, cached]"),
-            std::string::npos)
+  EXPECT_NE(
+      plan.find("Scan a (filtered) [columns: 1/2] [udf: immutable, cached]"),
+      std::string::npos)
       << plan;
   EXPECT_NE(plan.find("Project (1 columns) [udf: immutable, cached]"),
             std::string::npos)
@@ -216,7 +217,7 @@ TEST_F(ExplainTest, ParallelAnnotationGatedOnThreadsAndSize) {
   ASSERT_OK_AND_ASSIGN(std::string plan,
                        ExplainSelect(db_.catalog(), db_.udfs(), *sel.value(),
                                      opts));
-  EXPECT_NE(plan.find("Scan a (filtered) [parallel: 4 threads]"),
+  EXPECT_NE(plan.find("Scan a (filtered) [columns: 1/2] [parallel: 4 threads]"),
             std::string::npos)
       << plan;
   // Serial budget: no annotation anywhere.

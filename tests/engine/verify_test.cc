@@ -4,8 +4,9 @@
 // (VERIFY) annotation and the ExecStats counters. The negative cases break
 // plans through the test mutation hook (or build broken plans by hand) and
 // assert each violation class is caught with its machine-readable code.
-#include <cstdlib>
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,29 +20,6 @@
 namespace mtbase {
 namespace engine {
 namespace {
-
-/// Force enforcement on for a test's lifetime (the default build is NDEBUG,
-/// where verification is opt-in), restoring the previous value after.
-class ScopedVerifyEnv {
- public:
-  explicit ScopedVerifyEnv(const char* value) {
-    const char* old = std::getenv("MTBASE_VERIFY_PLANS");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv("MTBASE_VERIFY_PLANS", value, 1);
-  }
-  ~ScopedVerifyEnv() {
-    if (had_) {
-      setenv("MTBASE_VERIFY_PLANS", saved_.c_str(), 1);
-    } else {
-      unsetenv("MTBASE_VERIFY_PLANS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 class VerifyTest : public ::testing::Test {
  protected:
@@ -208,6 +186,85 @@ TEST_F(VerifyTest, StrippedTenantPredicateCaught) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("TENANT_PREDICATE_MISSING"),
             std::string::npos)
+      << r.status().ToString();
+}
+
+/// The first table scan reached through left children (the shapes below
+/// have one).
+const Plan* FirstScan(const Plan& p) {
+  const Plan* node = &p;
+  while (node != nullptr && node->kind != Plan::Kind::kScan &&
+         node->kind != Plan::Kind::kIndexScan) {
+    node = node->left.get();
+  }
+  return node;
+}
+
+// Column pruning: a D-filtered scan whose consumers read only `id` emits one
+// of the three table columns; its filter still restricts ttid over the full
+// row, and the restricted ttid is then projected away cleanly.
+TEST_F(VerifyTest, DFilteredPrunedScanVerifiesClean) {
+  verify::VerifyContext ctx = TenantCtx();
+  ASSERT_OK_AND_ASSIGN(sql::Stmt stmt,
+                       sql::ParseStatement(
+                           "SELECT id FROM acc WHERE ttid IN (1, 2)"));
+  Planner planner(db_.catalog(), db_.udfs(), db_.planner_options());
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, planner.PlanSelect(*stmt.select));
+  const Plan* scan = FirstScan(*plan);
+  ASSERT_NE(scan, nullptr);
+  EXPECT_TRUE(scan->projected);
+  EXPECT_EQ(scan->scan_columns, std::vector<int>{1});
+  verify::VerifyResult r = verify::PlanVerifier(&ctx).Verify(*plan);
+  EXPECT_TRUE(r.ok()) << r.Message();
+
+  ScopedVerifyEnv env("1");
+  db_.set_verify_context(ctx);
+  auto rs = db_.Execute("SELECT id FROM acc WHERE ttid IN (1, 2)");
+  db_.set_verify_context(verify::VerifyContext());
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs.value().rows.size(), 8u);
+}
+
+// The negative twin: with the D-filter stripped, the scan's pending ttid is
+// projected away at the scan itself (nothing above reads it), so no
+// ancestor could ever restrict it — reported there, with the scan subtree.
+TEST_F(VerifyTest, StrippedScanWithTtidProjectedAwayCaught) {
+  verify::VerifyContext ctx = TenantCtx();
+  ASSERT_OK_AND_ASSIGN(sql::Stmt stmt,
+                       sql::ParseStatement(
+                           "SELECT id FROM acc WHERE ttid IN (1, 2)"));
+  Planner planner(db_.catalog(), db_.udfs(), db_.planner_options());
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, planner.PlanSelect(*stmt.select));
+  EXPECT_EQ(verify::StripTenantPredicates(plan.get(), "ttid"), 1);
+  const Plan* scan = FirstScan(*plan);
+  ASSERT_NE(scan, nullptr);
+  ASSERT_TRUE(scan->projected);
+  EXPECT_EQ(std::find(scan->scan_columns.begin(), scan->scan_columns.end(), 0),
+            scan->scan_columns.end());
+  verify::VerifyResult r = verify::PlanVerifier(&ctx).Verify(*plan);
+  ASSERT_EQ(r.violations.size(), 1u) << r.Message();
+  EXPECT_EQ(r.violations[0].code,
+            verify::ViolationCode::kTenantPredicateMissing);
+  EXPECT_NE(r.violations[0].subtree.find("Scan acc [columns: 1/3]"),
+            std::string::npos)
+      << r.violations[0].subtree;
+}
+
+// A projected scan whose scan_columns drifted from its output layout (and
+// past the table) is refused before it could read out of bounds.
+TEST_F(VerifyTest, CorruptScanColumnsRefused) {
+  ScopedVerifyEnv env("1");
+  bool corrupted = false;
+  db_.set_plan_mutation_hook_for_testing([&corrupted](Plan* p) {
+    corrupted = verify::CorruptScanColumns(p);
+  });
+  auto r = db_.Execute("SELECT id FROM acc WHERE balance > 0");
+  db_.set_plan_mutation_hook_for_testing(nullptr);
+  EXPECT_TRUE(corrupted);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("ARITY_MISMATCH"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("SLOT_OUT_OF_RANGE"), std::string::npos)
       << r.status().ToString();
 }
 

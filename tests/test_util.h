@@ -2,6 +2,7 @@
 #ifndef MTBASE_TESTS_TEST_UTIL_H_
 #define MTBASE_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,32 @@ inline ::testing::AssertionResult PlanShapeMatches(
   EXPECT_TRUE(::mtbase::PlanShapeMatches((explain_text), __VA_ARGS__))
 #define ASSERT_PLAN_SHAPE(explain_text, ...) \
   ASSERT_TRUE(::mtbase::PlanShapeMatches((explain_text), __VA_ARGS__))
+
+/// Set MTBASE_VERIFY_PLANS for a scope ("1" forces plan-verification
+/// enforcement on, which the default NDEBUG build leaves opt-in; "0" forces
+/// it off), restoring the previous value after.
+class ScopedVerifyEnv {
+ public:
+  explicit ScopedVerifyEnv(const char* value) {
+    const char* old = std::getenv("MTBASE_VERIFY_PLANS");
+    if (old != nullptr) saved_ = old;
+    had_ = old != nullptr;
+    setenv("MTBASE_VERIFY_PLANS", value, 1);
+  }
+  ~ScopedVerifyEnv() {
+    if (had_) {
+      setenv("MTBASE_VERIFY_PLANS", saved_.c_str(), 1);
+    } else {
+      unsetenv("MTBASE_VERIFY_PLANS");
+    }
+  }
+  ScopedVerifyEnv(const ScopedVerifyEnv&) = delete;
+  ScopedVerifyEnv& operator=(const ScopedVerifyEnv&) = delete;
+
+ private:
+  std::string saved_;
+  bool had_ = false;
+};
 
 inline const Status& ToStatus(const Status& s) { return s; }
 template <typename T>
