@@ -8,12 +8,6 @@
 namespace mtbase {
 namespace engine {
 
-namespace {
-
-thread_local const std::atomic<bool>* tl_cancel_token = nullptr;
-
-}  // namespace
-
 void AdmissionController::set_limit(int limit) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -103,17 +97,6 @@ void AdmissionController::Release() {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   }
   cv_.notify_all();
-}
-
-ScopedCancelToken::ScopedCancelToken(const std::atomic<bool>* token)
-    : prev_(tl_cancel_token) {
-  tl_cancel_token = token;
-}
-
-ScopedCancelToken::~ScopedCancelToken() { tl_cancel_token = prev_; }
-
-const std::atomic<bool>* ScopedCancelToken::Current() {
-  return tl_cancel_token;
 }
 
 }  // namespace engine

@@ -6,7 +6,8 @@
 // Database::set_max_concurrent_statements (env default:
 // MTBASE_MAX_CONCURRENT_STATEMENTS, 0 = unlimited). Queued statements are
 // admitted in ticket (arrival) order; a queued statement whose session is
-// torn down aborts cleanly through its cancel token.
+// torn down aborts cleanly through the cancel flag its caller passed in
+// (engine::StatementContext::cancel).
 #ifndef MTBASE_ENGINE_ADMISSION_H_
 #define MTBASE_ENGINE_ADMISSION_H_
 
@@ -63,23 +64,6 @@ class AdmissionController {
   std::set<uint64_t> abandoned_;  // guarded by mu_
   std::atomic<int> in_flight_{0};
   std::atomic<int> max_in_flight_{0};
-};
-
-/// RAII scope installing a cancel token for admission waits performed on this
-/// thread (the MT session layer installs its closed-flag around statement
-/// execution so a queued statement aborts when its session is torn down).
-class ScopedCancelToken {
- public:
-  explicit ScopedCancelToken(const std::atomic<bool>* token);
-  ~ScopedCancelToken();
-  ScopedCancelToken(const ScopedCancelToken&) = delete;
-  ScopedCancelToken& operator=(const ScopedCancelToken&) = delete;
-
-  /// The innermost token installed on this thread (null if none).
-  static const std::atomic<bool>* Current();
-
- private:
-  const std::atomic<bool>* prev_;
 };
 
 }  // namespace engine

@@ -18,12 +18,6 @@
 namespace mtbase {
 namespace engine {
 
-thread_local obs::StatementTrace* Database::active_trace_ = nullptr;
-thread_local Database::StatsFrame* Database::tl_stats_frame_ = nullptr;
-thread_local const Database* Database::tl_guard_owner_ = nullptr;
-thread_local int Database::tl_guard_depth_ = 0;
-thread_local int Database::tl_admission_depth_ = 0;
-
 Database::Database(DbmsProfile profile) : profile_(profile) {
   if (const char* env = std::getenv("MTBASE_MAX_CONCURRENT_STATEMENTS")) {
     admission_.set_limit(std::atoi(env));
@@ -31,92 +25,86 @@ Database::Database(DbmsProfile profile) : profile_(profile) {
 }
 
 // ---------------------------------------------------------------------------
-// Statement-scope concurrency plumbing
+// Statement scope
 // ---------------------------------------------------------------------------
 
-Database::StatsFrame::StatsFrame(Database* db) : db_(db) {
-  for (StatsFrame* f = tl_stats_frame_; f != nullptr; f = f->prev_) {
-    if (f->db_ == db) return;  // nested statement: share the outer frame
-  }
-  prev_ = tl_stats_frame_;
-  tl_stats_frame_ = this;
-  active_ = true;
-}
+Database::StatsFrame::StatsFrame(Database* db, ExecStats* outer)
+    : db_(db), stats_(outer != nullptr ? outer : &local_) {}
 
 Database::StatsFrame::~StatsFrame() {
-  if (!active_) return;
-  tl_stats_frame_ = prev_;
+  if (stats_ != &local_) return;  // the caller's frame: it merges
   std::lock_guard<std::mutex> lock(db_->stats_mu_);
   db_->stats_.MergeStatement(local_);
 }
 
-ExecStats* Database::CurStats() {
-  for (StatsFrame* f = tl_stats_frame_; f != nullptr; f = f->prev_) {
-    if (f->db_ == this) return &f->local_;
-  }
-  return &stats_;
-}
-
-Database::StatementGuard::StatementGuard(Database* db, bool exclusive)
-    : db_(db) {
-  if (tl_guard_owner_ == db && tl_guard_depth_ > 0) {
-    // Nested statement on the same database: the outer guard's lock covers
-    // us. A nested exclusive request under a shared outer guard cannot occur
-    // by construction (DDL only nests inside DDL).
-    nested_ = true;
-    ++tl_guard_depth_;
-    return;
-  }
-  prev_owner_ = tl_guard_owner_;
-  prev_depth_ = tl_guard_depth_;
-  exclusive_ = exclusive;
-  if (exclusive) {
-    db->ddl_mu_.lock();
+Database::StatementScope::StatementScope(Database* db,
+                                         const StatementContext& ctx,
+                                         bool exclusive)
+    : db_(db),
+      status_(db->admission_.Acquire(ctx.cancel)),
+      frame_(db, ctx.stats),
+      exclusive_(exclusive) {
+  if (!status_.ok()) return;
+  if (exclusive_) {
+    db_->ddl_mu_.lock();
   } else {
-    db->ddl_mu_.lock_shared();
+    db_->ddl_mu_.lock_shared();
   }
-  tl_guard_owner_ = db;
-  tl_guard_depth_ = 1;
 }
 
-Database::StatementGuard::~StatementGuard() {
-  if (nested_) {
-    --tl_guard_depth_;
-    return;
-  }
+Database::StatementScope::~StatementScope() {
+  if (!status_.ok()) return;
   if (exclusive_) {
     db_->ddl_mu_.unlock();
   } else {
     db_->ddl_mu_.unlock_shared();
   }
-  tl_guard_owner_ = prev_owner_;
-  tl_guard_depth_ = prev_depth_;
+  db_->admission_.Release();
 }
 
-Database::AdmissionPass::AdmissionPass(Database* db) : db_(db) {
-  outermost_ = tl_admission_depth_ == 0;
-  ++tl_admission_depth_;
-  if (outermost_) {
-    status_ = db_->admission_.Acquire(ScopedCancelToken::Current());
+template <typename Body>
+Result<ResultSet> Database::RunStatement(const StatementContext& ctx,
+                                         bool exclusive,
+                                         const std::string& text, Body body) {
+  StatementScope scope(this, ctx, exclusive);
+  MTB_RETURN_IF_ERROR(scope.status());
+  // Observability shell: one engine-layer trace record per statement (inert
+  // with tracing off) plus process-wide metrics, a few mutex-guarded map
+  // bumps per statement.
+  obs::TraceRecordScope trace(obs::Tracer::Global(), ctx.trace, "engine",
+                              text);
+  StatsScope delta(scope.stats());
+  const auto t0 = std::chrono::steady_clock::now();
+  Result<ResultSet> result = body(scope.stats(), trace.record());
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
+  const ExecStats d = delta.Delta();
+  auto* metrics = obs::MetricsRegistry::Global();
+  metrics->Add("mtbase_engine_statements_total");
+  if (!result.ok()) metrics->Add("mtbase_engine_statement_errors_total");
+  metrics->Observe("mtbase_engine_execute_seconds", secs);
+  if (d.udf_calls > 0) {
+    metrics->Add("mtbase_engine_udf_calls_total", d.udf_calls);
   }
-}
-
-Database::AdmissionPass::~AdmissionPass() {
-  --tl_admission_depth_;
-  if (outermost_ && status_.ok()) db_->admission_.Release();
-}
-
-bool Database::IsDdlStmt(const sql::Stmt& stmt) {
-  switch (stmt.kind) {
-    case sql::Stmt::Kind::kCreateTable:
-    case sql::Stmt::Kind::kCreateView:
-    case sql::Stmt::Kind::kCreateFunction:
-    case sql::Stmt::Kind::kCreateIndex:
-    case sql::Stmt::Kind::kDrop:
-      return true;
-    default:
-      return false;
+  if (d.udf_cache_hits > 0) {
+    metrics->Add("mtbase_engine_udf_cache_hits_total", d.udf_cache_hits);
   }
+  if (d.udf_cache_misses > 0) {
+    metrics->Add("mtbase_engine_udf_cache_misses_total", d.udf_cache_misses);
+  }
+  if (d.plan_cache_hits > 0) {
+    metrics->Add("mtbase_engine_plan_cache_hits_total", d.plan_cache_hits);
+  }
+  if (d.plans_verified > 0) {
+    metrics->Add("mtbase_engine_plans_verified_total", d.plans_verified);
+  }
+  if (result.ok()) {
+    metrics->Add("mtbase_engine_rows_returned_total",
+                 result.value().rows.size());
+  }
+  return result;
 }
 
 std::string ResultSet::ToString(size_t max_rows) const {
@@ -134,9 +122,10 @@ std::string ResultSet::ToString(size_t max_rows) const {
   return out;
 }
 
-ExecContext Database::MakeContext(const std::vector<Value>* params) {
+ExecContext Database::MakeContext(ExecStats* stats,
+                                  const std::vector<Value>* params) {
   ExecContext ctx;
-  ctx.stats = CurStats();
+  ctx.stats = stats;
   ctx.profile = profile_;
   ctx.params = params;
   ctx.snapshots = std::make_shared<TableSnapshots>();
@@ -189,13 +178,7 @@ void Database::RebuildUdfReadTables() {
 
 UdfCacheEpoch Database::CurrentUdfCacheEpoch() const {
   uint64_t data = 0;
-  if (udf_plans_stale_) {
-    // Table set unknown until the lazy refresh runs; the whole-catalog sum
-    // is a safe (at worst over-evicting) stand-in with no raw pointers.
-    data = catalog_.data_version();
-  } else {
-    for (const Table* t : udf_read_tables_) data += t->data_version();
-  }
+  for (const Table* t : udf_read_tables_) data += t->data_version();
   return UdfCacheEpoch{catalog_.version() + udfs_.version(), data,
                        shared_udf_external_epoch_};
 }
@@ -245,13 +228,12 @@ PreparedPlan& PreparedPlan::operator=(PreparedPlan&&) noexcept = default;
 PreparedPlan::~PreparedPlan() = default;
 
 Result<std::shared_ptr<const PreparedPlan::CompiledState>>
-PreparedPlan::CompileLocked(obs::StatementTrace* trace) {
+PreparedPlan::CompileLocked(ExecStats* stats, obs::StatementTrace* trace) {
   auto state = std::make_shared<CompiledState>();
   // Snapshot the version before planning: a concurrent DDL that lands
   // mid-compile yields a state stamped stale, forcing a recompile on the
   // next execution instead of silently serving a half-old plan.
   state->version = db_->compilation_version();
-  ExecStats* stats = db_->CurStats();
   ++stats->prepare_count;
   const sql::SelectStmt* sel =
       stmt_.kind == sql::Stmt::Kind::kSelect ? stmt_.select.get()
@@ -265,7 +247,7 @@ PreparedPlan::CompileLocked(obs::StatementTrace* trace) {
       MTB_ASSIGN_OR_RETURN(plan, planner.PlanSelect(*sel));
       ++stats->statements_planned;
     }
-    MTB_RETURN_IF_ERROR(db_->VerifyPlan(plan.get(), verify_ctx_, trace));
+    MTB_RETURN_IF_ERROR(db_->VerifyPlan(plan.get(), verify_ctx_, stats, trace));
     for (const auto& c : plan->columns) state->column_names.push_back(c.name);
     state->plan = std::shared_ptr<const Plan>(std::move(plan));
   }
@@ -281,117 +263,78 @@ PreparedPlan::CompileLocked(obs::StatementTrace* trace) {
 }
 
 Result<ResultSet> PreparedPlan::Execute(const std::vector<Value>& params) {
-  // Admission first (blocking while holding no locks), then the stats frame
-  // and the statement-scope lock: shared for SELECT/DML, exclusive for DDL
-  // statement kinds executed through a prepared handle.
-  Database::AdmissionPass admission(db_);
-  if (!admission.status().ok()) return admission.status();
-  Database::StatsFrame frame(db_);
-  Database::StatementGuard guard(db_, Database::IsDdlStmt(stmt_));
-  // Observability shell around the execution body: one engine-layer trace
-  // record per statement (nested statements append to the enclosing record
-  // via the Database slot), plus process-wide metrics. With tracing off
-  // (no MTBASE_TRACE) the record scope is inert; the metrics feed is a few
-  // mutex-guarded map bumps per statement.
-  obs::TraceRecordScope trace(obs::Tracer::Global(), &db_->active_trace_,
-                              "engine", sql_);
-  StatsScope scope(db_->CurStats());
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<ResultSet> result = ExecuteInternal(params);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
-  const ExecStats d = scope.Delta();
-  auto* metrics = obs::MetricsRegistry::Global();
-  metrics->Add("mtbase_engine_statements_total");
-  if (!result.ok()) metrics->Add("mtbase_engine_statement_errors_total");
-  metrics->Observe("mtbase_engine_execute_seconds", secs);
-  if (d.udf_calls > 0) {
-    metrics->Add("mtbase_engine_udf_calls_total", d.udf_calls);
+  return Execute(params, StatementContext());
+}
+
+Result<ResultSet> PreparedPlan::Execute(const std::vector<Value>& params,
+                                        const StatementContext& ctx) {
+  return db_->RunStatement(
+      ctx, /*exclusive=*/false, sql_,
+      [&](ExecStats* stats, obs::StatementTrace* trace) {
+        return ExecuteInternal(params, stats, trace);
+      });
+}
+
+Result<std::shared_ptr<const PreparedPlan::CompiledState>>
+PreparedPlan::CurrentState(ExecStats* stats, obs::StatementTrace* trace) {
+  std::lock_guard<std::mutex> lock(*mu_);
+  if (state_ == nullptr || state_->version != db_->compilation_version()) {
+    // Invalidate first: a failed recompile (e.g. against a dropped table)
+    // must not leave a handle that silently executes the stale plan. The
+    // recompile verifies against the D' kept at prepare time.
+    state_.reset();
+    MTB_ASSIGN_OR_RETURN(auto compiled, CompileLocked(stats, trace));
+    column_names_ = compiled->column_names;
+    state_ = std::move(compiled);
   }
-  if (d.udf_cache_hits > 0) {
-    metrics->Add("mtbase_engine_udf_cache_hits_total", d.udf_cache_hits);
-  }
-  if (d.udf_cache_misses > 0) {
-    metrics->Add("mtbase_engine_udf_cache_misses_total", d.udf_cache_misses);
-  }
-  if (d.plan_cache_hits > 0) {
-    metrics->Add("mtbase_engine_plan_cache_hits_total", d.plan_cache_hits);
-  }
-  if (d.plans_verified > 0) {
-    metrics->Add("mtbase_engine_plans_verified_total", d.plans_verified);
-  }
-  if (result.ok()) {
-    metrics->Add("mtbase_engine_rows_returned_total",
-                 result.value().rows.size());
-  }
-  return result;
+  return state_;
 }
 
 Result<ResultSet> PreparedPlan::ExecuteInternal(
-    const std::vector<Value>& params) {
+    const std::vector<Value>& params, ExecStats* stats,
+    obs::StatementTrace* trace) {
   if (static_cast<int>(params.size()) < param_count_) {
     return Status::InvalidArgument(
         "prepared statement needs " + std::to_string(param_count_) +
         " parameter(s), got " + std::to_string(params.size()));
   }
-  if (db_->udf_plans_stale_) db_->RefreshUdfPlans();
-  std::shared_ptr<const CompiledState> st;
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    st = state_;
-  }
-  if (st == nullptr || st->version != db_->compilation_version()) {
-    std::lock_guard<std::mutex> lock(*mu_);
-    if (state_ == nullptr ||
-        state_->version != db_->compilation_version()) {
-      // Invalidate first: a failed recompile (e.g. against a dropped table)
-      // must not leave a handle that silently executes the stale plan. The
-      // recompile verifies against the D' kept at prepare time.
-      state_.reset();
-      MTB_ASSIGN_OR_RETURN(auto compiled, CompileLocked(db_->active_trace_));
-      column_names_ = compiled->column_names;
-      state_ = std::move(compiled);
-    }
-    st = state_;
-  }
+  MTB_ASSIGN_OR_RETURN(auto st, CurrentState(stats, trace));
   // The first execution after a compile is amortization, not reuse.
   if (!st->fresh.exchange(false, std::memory_order_acq_rel)) {
-    ++db_->CurStats()->plan_cache_hits;
+    ++stats->plan_cache_hits;
   }
-  obs::SpanTimer exec_span(db_->active_trace_, "execute", db_->CurStats());
-  const std::vector<Value>* bound = params.empty() ? nullptr : &params;
-  if (stmt_.kind == sql::Stmt::Kind::kSelect) {
-    ExecContext ctx = db_->MakeContext(bound);
-    MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*st->plan, &ctx));
-    ResultSet rs;
-    rs.column_names = st->column_names;
-    rs.rows = std::move(rows);
-    return rs;
-  }
+  obs::SpanTimer exec_span(trace, "execute", stats);
+  ExecContext ctx =
+      db_->MakeContext(stats, params.empty() ? nullptr : &params);
   // DML executes its bound form: no per-execution binder work.
   switch (stmt_.kind) {
+    case sql::Stmt::Kind::kSelect: {
+      MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*st->plan, &ctx));
+      ResultSet rs;
+      rs.column_names = st->column_names;
+      rs.rows = std::move(rows);
+      return rs;
+    }
     case sql::Stmt::Kind::kInsert:
       MTB_RETURN_IF_ERROR(
-          db_->ExecuteBoundInsert(*st->dml, st->plan.get(), bound));
+          db_->ExecuteBoundInsert(*st->dml, st->plan.get(), &ctx));
       return ResultSet();
     case sql::Stmt::Kind::kUpdate: {
-      MTB_ASSIGN_OR_RETURN(int64_t n, db_->ExecuteBoundUpdate(*st->dml, bound));
+      MTB_ASSIGN_OR_RETURN(int64_t n, db_->ExecuteBoundUpdate(*st->dml, &ctx));
       ResultSet rs;
       rs.column_names = {"updated"};
       rs.rows.push_back({Value::Int(n)});
       return rs;
     }
     case sql::Stmt::Kind::kDelete: {
-      MTB_ASSIGN_OR_RETURN(int64_t n, db_->ExecuteBoundDelete(*st->dml, bound));
+      MTB_ASSIGN_OR_RETURN(int64_t n, db_->ExecuteBoundDelete(*st->dml, &ctx));
       ResultSet rs;
       rs.column_names = {"deleted"};
       rs.rows.push_back({Value::Int(n)});
       return rs;
     }
     default:
-      return db_->ExecuteStmt(stmt_);
+      return Status::Internal("only SELECT and DML statements are prepared");
   }
 }
 
@@ -401,35 +344,34 @@ Result<ResultSet> PreparedPlan::ExecuteInternal(
 
 Result<PreparedPlan> Database::Prepare(const std::string& sql) {
   StatsFrame frame(this);
-  ++CurStats()->statements_parsed;
-  sql::Stmt stmt;
-  {
-    obs::SpanTimer span(active_trace_, "parse", CurStats());
-    MTB_ASSIGN_OR_RETURN(stmt, sql::ParseStatement(sql));
-  }
-  return PrepareStmt(std::move(stmt), sql, DefaultContext());
+  ++frame.stats()->statements_parsed;
+  MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(sql));
+  StatementContext ctx = DefaultContext();
+  ctx.stats = frame.stats();
+  return PrepareStmt(std::move(stmt), sql, std::move(ctx));
 }
 
 StatementContext Database::DefaultContext() {
-  StatementGuard guard(this, /*exclusive=*/false);
-  return StatementContext{default_verify_ctx_, active_trace_};
+  std::shared_lock<std::shared_mutex> lock(ddl_mu_);
+  return StatementContext{default_verify_ctx_};
 }
 
 void Database::set_verify_context(verify::VerifyContext ctx) {
-  StatementGuard guard(this, /*exclusive=*/true);
+  std::lock_guard<std::shared_mutex> lock(ddl_mu_);
   default_verify_ctx_ = std::move(ctx);
 }
 
 Result<PreparedPlan> Database::PrepareStmt(sql::Stmt stmt,
                                            std::string sql_text,
                                            StatementContext ctx) {
-  if (stmt.kind == sql::Stmt::Kind::kSetScope) {
+  if (!stmt.is_query_or_dml()) {
     return Status::InvalidArgument(
-        "SET SCOPE is an MTSQL statement; the engine only accepts SQL");
+        "only SELECT and DML statements can be prepared; run DDL and DCL "
+        "through Execute or ExecuteStmt");
   }
-  StatsFrame frame(this);
+  StatsFrame frame(this, ctx.stats);
   // The compile reads the catalog/UDF registry: shared statement lock.
-  StatementGuard guard(this, /*exclusive=*/false);
+  std::shared_lock<std::shared_mutex> lock(ddl_mu_);
   PreparedPlan plan;
   plan.db_ = this;
   plan.sql_ = std::move(sql_text);
@@ -437,108 +379,100 @@ Result<PreparedPlan> Database::PrepareStmt(sql::Stmt stmt,
   plan.stmt_ = std::move(stmt);
   plan.verify_ctx_ = std::move(ctx.verify);
   {
-    std::lock_guard<std::mutex> lock(*plan.mu_);
-    MTB_ASSIGN_OR_RETURN(auto compiled, plan.CompileLocked(ctx.trace));
+    std::lock_guard<std::mutex> plan_lock(*plan.mu_);
+    MTB_ASSIGN_OR_RETURN(auto compiled,
+                         plan.CompileLocked(frame.stats(), ctx.trace));
     plan.column_names_ = compiled->column_names;
     plan.state_ = std::move(compiled);
   }
   return plan;
 }
 
-namespace {
-
-/// One-shot statement: prepare and execute inside one engine trace record,
-/// so the compile spans (parse, plan, verify) and the execute span share it
-/// (PreparedPlan::Execute's own record scope nests into this one).
-template <typename PrepareFn>
-Result<ResultSet> PrepareAndExecute(obs::StatementTrace** slot,
-                                    const std::string& sql_text,
-                                    PrepareFn prepare) {
-  obs::TraceRecordScope trace(obs::Tracer::Global(), slot, "engine",
-                              sql_text);
+Result<ResultSet> Database::ExecuteParsed(sql::Stmt stmt,
+                                          const std::string& text,
+                                          obs::StatementTrace* record,
+                                          ExecStats* stats) {
+  obs::TraceRecordScope trace(obs::Tracer::Global(), record, "engine", text);
   auto result = [&]() -> Result<ResultSet> {
-    MTB_ASSIGN_OR_RETURN(PreparedPlan plan, prepare());
-    return plan.Execute();
+    if (!stmt.is_query_or_dml()) {
+      return ExecuteStmt(stmt, StatementContext{{}, trace.record(), stats});
+    }
+    StatementContext ctx = DefaultContext();
+    ctx.trace = trace.record();
+    ctx.stats = stats;
+    MTB_ASSIGN_OR_RETURN(PreparedPlan plan,
+                         PrepareStmt(std::move(stmt), text, ctx));
+    return plan.Execute({}, ctx);
   }();
   trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
   return result;
 }
 
-}  // namespace
-
 Result<ResultSet> Database::Execute(const std::string& sql) {
-  return PrepareAndExecute(&active_trace_, sql, [&] { return Prepare(sql); });
+  StatsFrame frame(this);
+  // Opened before parsing so the parse span shares the statement's record.
+  obs::TraceRecordScope trace(obs::Tracer::Global(), nullptr, "engine", sql);
+  auto result = [&]() -> Result<ResultSet> {
+    ++frame.stats()->statements_parsed;
+    sql::Stmt stmt;
+    {
+      obs::SpanTimer span(trace.record(), "parse", frame.stats());
+      MTB_ASSIGN_OR_RETURN(stmt, sql::ParseStatement(sql));
+    }
+    return ExecuteParsed(std::move(stmt), sql, trace.record(), frame.stats());
+  }();
+  trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
+  return result;
 }
 
 Result<ResultSet> Database::ExecuteScript(const std::string& sql) {
   StatsFrame frame(this);
   MTB_ASSIGN_OR_RETURN(auto stmts, sql::ParseScript(sql));
-  CurStats()->statements_parsed += stmts.size();
+  frame.stats()->statements_parsed += stmts.size();
   obs::Tracer* tracer = obs::Tracer::Global();
   const bool tracing = tracer != nullptr && tracer->enabled();
   ResultSet last;
   for (size_t i = 0; i < stmts.size(); ++i) {
-    Result<ResultSet> r = ResultSet();
-    if (stmts[i].is_query_or_dml()) {
-      // The statement only exists as an AST here; it is printed back to SQL
-      // for the trace record only when tracing is actually on.
-      const std::string text =
-          tracing ? sql::PrintStmt(stmts[i]) : std::string();
-      r = PrepareAndExecute(&active_trace_, text, [&] {
-        return PrepareStmt(std::move(stmts[i]), text, DefaultContext());
-      });
-    } else {
-      r = ExecuteStmt(stmts[i]);
-    }
+    // The statement only exists as an AST here; it is printed back to SQL
+    // for the trace record only when tracing is actually on.
+    const std::string text = tracing ? sql::PrintStmt(stmts[i]) : std::string();
+    auto r = ExecuteParsed(std::move(stmts[i]), text, nullptr, frame.stats());
     if (!r.ok()) return AtScriptStatement(i + 1, r.status());
     last = std::move(r).value();
   }
   return last;
 }
 
-Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
-  AdmissionPass admission(this);
-  if (!admission.status().ok()) return admission.status();
-  StatsFrame frame(this);
-  // DDL takes the statement lock exclusive; everything else shared. DDL
-  // branches replan UDF bodies eagerly before releasing the exclusive lock,
-  // so statements running under the shared lock never observe a body plan
-  // mid-replan.
-  StatementGuard guard(this, IsDdlStmt(stmt));
-  if (udf_plans_stale_) RefreshUdfPlans();
-  ResultSet empty;
+Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
+                                        const StatementContext& ctx) {
+  obs::Tracer* tracer = obs::Tracer::Global();
+  const std::string text =
+      ctx.trace == nullptr && tracer != nullptr && tracer->enabled()
+          ? sql::PrintStmt(stmt)
+          : std::string();
+  return RunStatement(ctx, /*exclusive=*/true, text,
+                      [&](ExecStats* stats,
+                          obs::StatementTrace* trace) -> Result<ResultSet> {
+                        obs::SpanTimer span(trace, "execute", stats);
+                        MTB_RETURN_IF_ERROR(ApplyDdl(stmt, stats));
+                        return ResultSet();
+                      });
+}
+
+Status Database::ApplyDdl(const sql::Stmt& stmt, ExecStats* stats) {
   switch (stmt.kind) {
-    case sql::Stmt::Kind::kSelect:
-    case sql::Stmt::Kind::kInsert:
-    case sql::Stmt::Kind::kUpdate:
-    case sql::Stmt::Kind::kDelete:
-      return Status::Internal(
-          "SELECT and DML execute through PrepareStmt, not ExecuteStmt");
     case sql::Stmt::Kind::kCreateTable:
       MTB_RETURN_IF_ERROR(ExecuteCreateTable(*stmt.create_table));
-      RefreshUdfPlans();
-      return empty;
+      break;
     case sql::Stmt::Kind::kCreateView:
-      MTB_RETURN_IF_ERROR(catalog_.CreateView(stmt.create_view->name,
-                                              stmt.create_view->select->Clone()));
-      RefreshUdfPlans();
-      return empty;
-    case sql::Stmt::Kind::kCreateFunction:
-      MTB_RETURN_IF_ERROR(ExecuteCreateFunction(*stmt.create_function));
-      return empty;
+      MTB_RETURN_IF_ERROR(catalog_.CreateView(
+          stmt.create_view->name, stmt.create_view->select->Clone()));
+      break;
     case sql::Stmt::Kind::kCreateIndex:
       MTB_RETURN_IF_ERROR(catalog_.CreateIndex(stmt.create_index->name,
                                                stmt.create_index->table,
                                                stmt.create_index->columns));
-      RefreshUdfPlans();
-      return empty;
-    case sql::Stmt::Kind::kGrant:
-      // Privileges are enforced by the MT middleware (paper section 2.3);
-      // the engine accepts and ignores plain-SQL grants.
-      return empty;
-    case sql::Stmt::Kind::kSetScope:
-      return Status::InvalidArgument(
-          "SET SCOPE is an MTSQL statement; the engine only accepts SQL");
+      break;
     case sql::Stmt::Kind::kDrop:
       if (stmt.drop->what == sql::DropStmt::What::kTable) {
         MTB_RETURN_IF_ERROR(catalog_.DropTable(stmt.drop->name));
@@ -547,27 +481,35 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
       } else {
         MTB_RETURN_IF_ERROR(catalog_.DropView(stmt.drop->name));
       }
-      udf_plans_stale_ = true;
-      return empty;
+      break;
+    case sql::Stmt::Kind::kCreateFunction:
+      return ExecuteCreateFunction(*stmt.create_function, stats);
+    case sql::Stmt::Kind::kGrant:
+      // Privileges are enforced by the MT middleware (paper section 2.3);
+      // the engine accepts and ignores plain-SQL grants.
+      return Status::OK();
+    case sql::Stmt::Kind::kSetScope:
+      return Status::InvalidArgument(
+          "SET SCOPE is an MTSQL statement; the engine only accepts SQL");
+    default:
+      return Status::Internal(
+          "SELECT and DML execute through PrepareStmt, not ExecuteStmt");
   }
-  return Status::Internal("unhandled statement kind");
-}
-
-void Database::EnsureUdfPlansFresh() {
-  if (!udf_plans_stale_.load(std::memory_order_acquire)) return;
-  StatementGuard guard(this, /*exclusive=*/true);
-  if (udf_plans_stale_) RefreshUdfPlans();
+  // Catalog DDL: replan UDF bodies before the exclusive lock is released,
+  // so statements under the shared lock never observe a body plan
+  // mid-replan.
+  RefreshUdfPlans();
+  return Status::OK();
 }
 
 void Database::set_planner_options(const PlannerOptions& o) {
-  StatementGuard guard(this, /*exclusive=*/true);
+  std::lock_guard<std::shared_mutex> lock(ddl_mu_);
   planner_options_ = o;
   options_version_.fetch_add(1, std::memory_order_acq_rel);
   RefreshUdfPlans();
 }
 
 void Database::RefreshUdfPlans() {
-  udf_plans_stale_ = false;
   for (Udf* udf : udfs_.All()) {
     udf->body_plan.reset();
     auto body = sql::ParseSelect(udf->body_sql);
@@ -581,13 +523,9 @@ void Database::RefreshUdfPlans() {
 }
 
 Status Database::VerifyPlan(Plan* plan, const verify::VerifyContext& ctx,
-                            obs::StatementTrace* trace) {
+                            ExecStats* stats, obs::StatementTrace* trace) {
   if (plan_mutation_hook_) plan_mutation_hook_(plan);
   if (!verify::VerificationEnabled()) return Status::OK();
-  // The verifier walks UDF body plans, which hold raw catalog pointers and
-  // are only safe to dereference once replanned against the current catalog.
-  if (udf_plans_stale_) RefreshUdfPlans();
-  ExecStats* stats = CurStats();
   obs::SpanTimer span(trace, "verify", stats);
   ++stats->plans_verified;
   verify::PlanVerifier verifier(&ctx);
@@ -601,22 +539,23 @@ Status Database::VerifyPlan(Plan* plan, const verify::VerifyContext& ctx,
 Result<std::string> Database::ExplainAnalyzeSelect(
     const sql::SelectStmt& sel, const StatementContext& ctx, bool verify_footer,
     ResultSet* result_out) {
-  AdmissionPass admission(this);
-  if (!admission.status().ok()) return admission.status();
-  StatsFrame frame(this);
-  StatementGuard guard(this, /*exclusive=*/false);
-  if (udf_plans_stale_) RefreshUdfPlans();
-  // The compile step a plain execution takes (plan + verify under ctx).
+  // The compile step a plain execution takes (plan + verify under ctx)...
   sql::Stmt stmt;
   stmt.kind = sql::Stmt::Kind::kSelect;
   stmt.select = sel.Clone();
   MTB_ASSIGN_OR_RETURN(PreparedPlan prepared,
                        PrepareStmt(std::move(stmt), std::string(), ctx));
-  const Plan& plan = *prepared.state_->plan;
+  // ...then the execution's own scope. A DDL that landed in between
+  // recompiles the plan here, under the statement lock.
+  StatementScope scope(this, ctx, /*exclusive=*/false);
+  MTB_RETURN_IF_ERROR(scope.status());
+  MTB_ASSIGN_OR_RETURN(auto state,
+                       prepared.CurrentState(scope.stats(), ctx.trace));
+  const Plan& plan = *state->plan;
   // Instrumented execution: same context a plain run gets, plus a profiler.
   obs::PlanProfiler profiler;
-  StatsScope scope(CurStats());
-  ExecContext exec_ctx = MakeContext();
+  StatsScope delta(scope.stats());
+  ExecContext exec_ctx = MakeContext(scope.stats());
   exec_ctx.profiler = &profiler;
   const auto t0 = std::chrono::steady_clock::now();
   MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(plan, &exec_ctx));
@@ -624,7 +563,7 @@ Result<std::string> Database::ExplainAnalyzeSelect(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
-  const ExecStats d = scope.Delta();
+  const ExecStats d = delta.Delta();
   std::string out = ExplainPlan(plan, &planner_options_, &profiler);
   // Footer order is fixed (docs/observability.md): verify, analyze; the
   // session layer appends its audit footer after both.
@@ -643,7 +582,7 @@ Result<std::string> Database::ExplainAnalyzeSelect(
   out += footer;
   obs::MetricsRegistry::Global()->Add("mtbase_engine_analyze_runs_total");
   if (result_out != nullptr) {
-    result_out->column_names = prepared.column_names();
+    result_out->column_names = state->column_names;
     result_out->rows = std::move(rows);
   }
   return out;
@@ -696,7 +635,8 @@ Status Database::ExecuteCreateTable(const sql::CreateTableStmt& ct) {
   return catalog_.CreateTable(std::move(schema));
 }
 
-Status Database::ExecuteCreateFunction(const sql::CreateFunctionStmt& cf) {
+Status Database::ExecuteCreateFunction(const sql::CreateFunctionStmt& cf,
+                                       ExecStats* stats) {
   auto udf = std::make_unique<Udf>();
   udf->name = cf.name;
   udf->arg_types = cf.arg_types;
@@ -706,7 +646,7 @@ Status Database::ExecuteCreateFunction(const sql::CreateFunctionStmt& cf) {
   MTB_ASSIGN_OR_RETURN(auto body, sql::ParseSelect(cf.body_sql));
   Planner planner(&catalog_, &udfs_, planner_options_);
   MTB_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(*body));
-  ++CurStats()->statements_planned;
+  ++stats->statements_planned;
   udf->body_plan = std::shared_ptr<const Plan>(std::move(plan));
   MTB_RETURN_IF_ERROR(udfs_.Register(std::move(udf)));
   RebuildUdfReadTables();
@@ -834,18 +774,17 @@ Result<std::unique_ptr<BoundDmlPlan>> Database::BindDml(const sql::Stmt& stmt) {
 
 Status Database::ExecuteBoundInsert(const BoundDmlPlan& dml,
                                     const Plan* select_plan,
-                                    const std::vector<Value>* params) {
+                                    ExecContext* ctx) {
   std::vector<Row> source_rows;
-  ExecContext ctx = MakeContext(params);
   if (select_plan != nullptr) {
-    MTB_ASSIGN_OR_RETURN(source_rows, ExecutePlan(*select_plan, &ctx));
+    MTB_ASSIGN_OR_RETURN(source_rows, ExecutePlan(*select_plan, ctx));
   } else {
     Row empty_row;
     for (const auto& bound_row : dml.value_rows) {
       Row r;
       r.reserve(bound_row.size());
       for (const auto& e : bound_row) {
-        MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, empty_row, &ctx));
+        MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, empty_row, ctx));
         r.push_back(std::move(v));
       }
       source_rows.push_back(std::move(r));
@@ -855,8 +794,7 @@ Status Database::ExecuteBoundInsert(const BoundDmlPlan& dml,
 }
 
 Result<int64_t> Database::ExecuteBoundUpdate(const BoundDmlPlan& dml,
-                                             const std::vector<Value>* params) {
-  ExecContext ctx = MakeContext(params);
+                                             ExecContext* ctx) {
   // DML on a table is serialized by its write lock; concurrent readers keep
   // scanning the snapshot they pinned and flip to the new version only at
   // their next statement. Evaluate predicates and assignments over every row
@@ -870,12 +808,12 @@ Result<int64_t> Database::ExecuteBoundUpdate(const BoundDmlPlan& dml,
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     if (dml.where) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*dml.where, r, &ctx));
+      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*dml.where, r, ctx));
       if (!IsTrue(v)) continue;
     }
     Row next = r;
     for (const auto& [idx, expr] : dml.sets) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, r, &ctx));
+      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, r, ctx));
       next[static_cast<size_t>(idx)] = std::move(v);
     }
     next_rows.emplace_back(i, std::move(next));
@@ -889,8 +827,7 @@ Result<int64_t> Database::ExecuteBoundUpdate(const BoundDmlPlan& dml,
 }
 
 Result<int64_t> Database::ExecuteBoundDelete(const BoundDmlPlan& dml,
-                                             const std::vector<Value>* params) {
-  ExecContext ctx = MakeContext(params);
+                                             ExecContext* ctx) {
   // Same discipline as UPDATE: hold the table's write lock, evaluate the
   // predicate over every row of a pinned snapshot before publishing, then
   // swap in the surviving rows as one new version.
@@ -900,7 +837,7 @@ Result<int64_t> Database::ExecuteBoundDelete(const BoundDmlPlan& dml,
   std::vector<char> remove(rows.size(), 1);
   if (dml.where) {
     for (size_t i = 0; i < rows.size(); ++i) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*dml.where, rows[i], &ctx));
+      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*dml.where, rows[i], ctx));
       remove[i] = IsTrue(v) ? 1 : 0;
     }
   }
@@ -977,7 +914,9 @@ Status Database::ValidateTable(const Table& table) {
     MTB_ASSIGN_OR_RETURN(auto expr, sql::ParseExpression(check.expr_sql));
     Planner planner(&catalog_, &udfs_, planner_options_);
     MTB_ASSIGN_OR_RETURN(auto bound, planner.BindExpr(*expr, {}));
-    ExecContext ctx = MakeContext();
+    // Outside any statement scope (a single-threaded load step): counts
+    // straight into the cumulative counters.
+    ExecContext ctx = MakeContext(&stats_);
     Row empty;
     MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*bound, empty, &ctx));
     if (!IsTrue(v)) {
@@ -989,7 +928,6 @@ Status Database::ValidateTable(const Table& table) {
 }
 
 Status Database::ValidateConstraints(const std::string& table) {
-  if (udf_plans_stale_) RefreshUdfPlans();  // check exprs may call UDFs
   if (!table.empty()) {
     const Table* t = catalog_.FindTable(table);
     if (t == nullptr) {

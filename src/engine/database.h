@@ -5,10 +5,15 @@
 // paper's architecture (Figure 4), selected by DbmsProfile.
 //
 // The execution API is prepared-statement shaped: Prepare() compiles a
-// statement once (parse + bind + plan), PreparedPlan::Execute() runs it many
-// times with $n / ? parameter bindings. One-shot Execute() is prepare +
-// execute. Prepared handles snapshot the catalog/UDF compilation version and
-// transparently recompile after DDL.
+// SELECT or DML statement once (parse + bind + plan),
+// PreparedPlan::Execute() runs it many times with $n / ? parameter
+// bindings. DDL and DCL run through ExecuteStmt(); one-shot Execute()
+// dispatches to one or the other. Prepared handles snapshot the
+// catalog/UDF compilation version and transparently recompile after DDL.
+//
+// Each executing statement opens one scope (admission, counter frame,
+// statement lock, trace record) at its entry point; callers already inside
+// a statement pass theirs in a StatementContext (see StatementScope).
 #ifndef MTBASE_ENGINE_DATABASE_H_
 #define MTBASE_ENGINE_DATABASE_H_
 
@@ -55,14 +60,25 @@ struct ResultSet {
 /// database.cc).
 struct BoundDmlPlan;
 
-/// The explicit inputs a statement compiles under (PrepareStmt).
+/// The explicit inputs of one engine statement. A caller already inside a
+/// statement (the one-shot Execute / ExecuteScript wrappers, an MT session
+/// statement) passes its own counter frame, trace record and cancel flag; a
+/// null field means the statement's entry point opens its own.
 struct StatementContext {
-  /// What PlanVerifier proves the plan against (D'). The PreparedPlan keeps
-  /// it, so lazy recompiles after DDL verify against the same D'.
+  /// What PlanVerifier proves the plan against (D'). Read by compiles
+  /// (PrepareStmt, ExplainAnalyzeSelect); the PreparedPlan keeps it, so lazy
+  /// recompiles after DDL verify against the same D'.
   verify::VerifyContext verify;
-  /// The caller's trace record for the compile's plan/verify spans. Not
-  /// kept: a lazy recompile records into the executing statement's record.
+  /// The trace record this statement's spans land in. Null: an executing
+  /// statement (PreparedPlan::Execute, ExecuteStmt) opens and emits its own
+  /// engine record, and a bare compile (PrepareStmt) records no spans.
   obs::StatementTrace* trace = nullptr;
+  /// The counter frame. Null: the statement counts into a private frame
+  /// folded into Database::stats() when it ends.
+  ExecStats* stats = nullptr;
+  /// Admission-wait cancel flag (an MT session's closed flag): a statement
+  /// queued at the gate aborts cleanly once it reads true. Null: never.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// A statement compiled once and executable many times. SELECTs (and the
@@ -86,6 +102,12 @@ class PreparedPlan {
 
   /// Run the statement with `params` bound to $1..$n (left to right for ?).
   Result<ResultSet> Execute(const std::vector<Value>& params = {});
+  /// Same, inside the caller's statement: counts into ctx.stats, records
+  /// into ctx.trace and aborts a queued admission wait on ctx.cancel.
+  /// ctx.verify is not read: the handle keeps the context it was prepared
+  /// under.
+  Result<ResultSet> Execute(const std::vector<Value>& params,
+                            const StatementContext& ctx);
 
   /// Number of parameter slots the statement references.
   int param_count() const { return param_count_; }
@@ -106,16 +128,23 @@ class PreparedPlan {
   struct CompiledState;
 
   /// (Re)compile from the stored AST into a fresh state block verified under
-  /// verify_ctx_, recording plan/verify spans into `trace`; the caller holds
-  /// mu_ and has cleared state_ first so a failed recompile (e.g. a dropped
-  /// table) cannot leave a usable handle.
+  /// verify_ctx_, counting into `stats` and recording plan/verify spans into
+  /// `trace`; the caller holds mu_ and has cleared state_ first so a failed
+  /// recompile (e.g. a dropped table) cannot leave a usable handle.
   Result<std::shared_ptr<const CompiledState>> CompileLocked(
-      obs::StatementTrace* trace);
+      ExecStats* stats, obs::StatementTrace* trace);
 
-  /// The execution body. Execute() wraps it with the observability surface
-  /// (statement trace record, execute span, metrics) so the wrapped path
-  /// stays readable.
-  Result<ResultSet> ExecuteInternal(const std::vector<Value>& params);
+  /// The compiled form valid at the current compilation version,
+  /// recompiling first when DDL moved it. The caller holds the statement
+  /// lock.
+  Result<std::shared_ptr<const CompiledState>> CurrentState(
+      ExecStats* stats, obs::StatementTrace* trace);
+
+  /// The execution body, run inside the statement's scope (see
+  /// Database::RunStatement).
+  Result<ResultSet> ExecuteInternal(const std::vector<Value>& params,
+                                    ExecStats* stats,
+                                    obs::StatementTrace* trace);
 
   Database* db_ = nullptr;
   std::string sql_;
@@ -134,37 +163,42 @@ class Database {
   /// (0 / unset = unlimited).
   explicit Database(DbmsProfile profile = DbmsProfile::kPostgres);
 
-  /// Compile one statement for repeated execution under the default verify
-  /// context (set_verify_context).
+  /// Compile one SELECT or DML statement for repeated execution under the
+  /// default verify context (set_verify_context).
   Result<PreparedPlan> Prepare(const std::string& sql);
   /// Same, from an already parsed statement compiled under `ctx` (the MT
   /// middleware prepares the rewritten AST directly with its session's D'
-  /// and only keeps `sql_text` for display).
+  /// and only keeps `sql_text` for display). DDL and DCL are not
+  /// preparable (InvalidArgument): run them through ExecuteStmt.
   Result<PreparedPlan> PrepareStmt(sql::Stmt stmt, std::string sql_text,
                                    StatementContext ctx);
 
-  /// Execute one statement given as SQL text (prepare + execute).
+  /// Execute one statement given as SQL text, dispatched like one statement
+  /// of ExecuteScript.
   Result<ResultSet> Execute(const std::string& sql);
   /// Execute a ';'-separated script; returns the last statement's result.
-  /// SELECT and DML statements run as prepare + execute like Execute; the
-  /// rest through ExecuteStmt. Errors are prefixed with the 1-based
-  /// statement index.
+  /// SELECT and DML statements run as prepare + execute, the rest through
+  /// ExecuteStmt, each in one engine trace record. Errors are prefixed with
+  /// the 1-based statement index.
   Result<ResultSet> ExecuteScript(const std::string& sql);
-  /// Execute a parsed DDL or DCL statement. SELECT and DML run through
-  /// PrepareStmt + PreparedPlan::Execute instead and are rejected here.
-  Result<ResultSet> ExecuteStmt(const sql::Stmt& stmt);
+  /// Execute a parsed DDL or DCL statement under the exclusive statement
+  /// lock. SELECT and DML run through PrepareStmt + PreparedPlan::Execute
+  /// instead and are rejected here.
+  Result<ResultSet> ExecuteStmt(const sql::Stmt& stmt,
+                                const StatementContext& ctx = {});
 
   /// Validate primary keys, foreign keys and check constraints of `table`
   /// (all tables if empty). Deferred validation keeps bulk loads fast.
   Status ValidateConstraints(const std::string& table = "");
 
   /// EXPLAIN (ANALYZE) (docs/observability.md): compile `sel` as PrepareStmt
-  /// does, execute it with per-operator instrumentation attached, and render
-  /// the plan with `[actual: ...]` annotations plus an `[analyze: ...]`
-  /// footer. `verify_footer` prepends a `[verify: ...]` footer against
-  /// ctx.verify (footer order is fixed: verify, analyze, then the session
-  /// layer's audit). `result_out`, if non-null, receives the instrumented
-  /// run's result set (tests prove byte-identity against a plain run).
+  /// does, then execute it in its own statement scope with per-operator
+  /// instrumentation attached, and render the plan with `[actual: ...]`
+  /// annotations plus an `[analyze: ...]` footer. `verify_footer` prepends
+  /// a `[verify: ...]` footer against ctx.verify (footer order is fixed:
+  /// verify, analyze, then the session layer's audit). `result_out`, if
+  /// non-null, receives the instrumented run's result set (tests prove
+  /// byte-identity against a plain run).
   Result<std::string> ExplainAnalyzeSelect(const sql::SelectStmt& sel,
                                            const StatementContext& ctx,
                                            bool verify_footer = false,
@@ -188,15 +222,10 @@ class Database {
   Catalog* catalog() { return &catalog_; }
   const Catalog* catalog() const { return &catalog_; }
   UdfRegistry* udfs() { return &udfs_; }
-  /// Replan any UDF bodies invalidated by DDL. Callers that hand the
-  /// registry to code dereferencing `Udf::body_plan` outside the execute
-  /// path (e.g. `ExplainSelect` with a verify context) must call this first.
-  /// Takes the exclusive statement lock when a refresh is actually needed.
-  void EnsureUdfPlansFresh();
   /// Cumulative database-wide counters. Concurrent statements each count
-  /// into a private per-statement frame (see StatsFrame / CurStats) and
-  /// merge here once at statement end, so reading this between statements is
-  /// race-free and totals reconcile exactly.
+  /// into a private per-statement frame (StatsFrame) and merge here once at
+  /// statement end, so reading this between statements is race-free and
+  /// totals reconcile exactly.
   ExecStats* stats() { return &stats_; }
   DbmsProfile profile() const { return profile_; }
   void set_profile(DbmsProfile p) { profile_ = p; }
@@ -206,28 +235,23 @@ class Database {
   /// compilation version and must not race in-flight statements).
   void set_planner_options(const PlannerOptions& o);
 
-  /// The ExecStats sink for the current statement on this thread: the
-  /// innermost open StatsFrame for this database, or the cumulative stats_
-  /// when no frame is open (single-threaded embedder paths).
-  ExecStats* CurStats();
-
-  /// RAII per-statement stats frame: counters bump into a thread-local frame
-  /// and fold into Database::stats() (under its mutex) at destruction.
-  /// Opening a frame while one is already open for the same database on this
-  /// thread is a no-op, so nested statements share the outer frame.
+  /// RAII per-statement counter frame. stats() is `outer` when the caller
+  /// passed its own frame (StatementContext::stats); otherwise a private
+  /// frame that folds into Database::stats() (under its mutex) at
+  /// destruction.
   class StatsFrame {
    public:
-    explicit StatsFrame(Database* db);
+    explicit StatsFrame(Database* db, ExecStats* outer = nullptr);
     ~StatsFrame();
     StatsFrame(const StatsFrame&) = delete;
     StatsFrame& operator=(const StatsFrame&) = delete;
 
+    ExecStats* stats() const { return stats_; }
+
    private:
-    friend class Database;
     Database* db_;
-    StatsFrame* prev_ = nullptr;
-    bool active_ = false;
     ExecStats local_;
+    ExecStats* stats_;
   };
 
   /// Inter-query admission gate (MTBASE_MAX_CONCURRENT_STATEMENTS); see
@@ -281,76 +305,72 @@ class Database {
  private:
   friend class PreparedPlan;
 
-  /// RAII statement-scope DDL guard over ddl_mu_: DDL and planner-option
-  /// changes take it exclusive, every other statement shared — so catalog /
-  /// UDF-registry / planner-option reads during compile and execution never
-  /// race a concurrent DDL. Re-entrant per thread: nested statements (UDF
-  /// body planning, complex-scope resolution, INSERT ... SELECT) piggyback
-  /// on the outer guard instead of self-deadlocking.
-  class StatementGuard {
+  /// One engine statement's execution scope, opened once at its entry point
+  /// (PreparedPlan::Execute, ExecuteStmt, ExplainAnalyzeSelect) and never
+  /// nested: the admission ticket first (blocking while no lock is held,
+  /// aborting on ctx.cancel), then the counter frame, then the statement
+  /// lock over ddl_mu_ — exclusive for DDL, shared otherwise, so catalog /
+  /// UDF-registry / planner-option reads never race a concurrent DDL.
+  class StatementScope {
    public:
-    StatementGuard(Database* db, bool exclusive);
-    ~StatementGuard();
-    StatementGuard(const StatementGuard&) = delete;
-    StatementGuard& operator=(const StatementGuard&) = delete;
+    StatementScope(Database* db, const StatementContext& ctx, bool exclusive);
+    ~StatementScope();
+    StatementScope(const StatementScope&) = delete;
+    StatementScope& operator=(const StatementScope&) = delete;
 
-   private:
-    Database* db_;
-    bool nested_ = false;
-    bool exclusive_ = false;
-    const Database* prev_owner_ = nullptr;
-    int prev_depth_ = 0;
-  };
-
-  /// RAII admission pass: the outermost engine statement on this thread
-  /// acquires an admission ticket (blocking when the limit is reached,
-  /// aborting via the thread's ScopedCancelToken); nested statements ride
-  /// the outer pass.
-  class AdmissionPass {
-   public:
-    explicit AdmissionPass(Database* db);
-    ~AdmissionPass();
-    AdmissionPass(const AdmissionPass&) = delete;
-    AdmissionPass& operator=(const AdmissionPass&) = delete;
-
+    /// The admission outcome; nothing else is held when it is not OK.
     const Status& status() const { return status_; }
+    ExecStats* stats() const { return frame_.stats(); }
 
    private:
     Database* db_;
-    bool outermost_ = false;
     Status status_;
+    StatsFrame frame_;
+    bool exclusive_;
   };
 
-  /// True for statement kinds that mutate catalog/UDF/option state and
-  /// therefore need the exclusive statement lock.
-  static bool IsDdlStmt(const sql::Stmt& stmt);
+  /// The shell of an executing statement: its StatementScope, its engine
+  /// trace record (ctx.trace, else its own titled `text`), and the
+  /// per-statement metrics around `body(stats, record)`.
+  template <typename Body>
+  Result<ResultSet> RunStatement(const StatementContext& ctx, bool exclusive,
+                                 const std::string& text, Body body);
+
+  /// One statement of Execute / ExecuteScript in one engine trace record
+  /// (`record`, else its own): SELECT and DML prepare + execute under the
+  /// default verify context, DDL and DCL run through ExecuteStmt.
+  Result<ResultSet> ExecuteParsed(sql::Stmt stmt, const std::string& text,
+                                  obs::StatementTrace* record,
+                                  ExecStats* stats);
+
+  /// The body of ExecuteStmt, run under the exclusive statement lock.
+  Status ApplyDdl(const sql::Stmt& stmt, ExecStats* stats);
 
   /// The context plain-SQL statements compile under: the default verify
-  /// context and this thread's active engine trace record.
+  /// context (read under the shared statement lock).
   StatementContext DefaultContext();
   /// Bind a DML statement's expressions once for repeated execution
   /// (PreparedPlan::Compile counts the compilation).
   Result<std::unique_ptr<BoundDmlPlan>> BindDml(const sql::Stmt& stmt);
   /// `select_plan` carries the precompiled INSERT ... SELECT source, if any.
   Status ExecuteBoundInsert(const BoundDmlPlan& dml, const Plan* select_plan,
-                            const std::vector<Value>* params);
+                            ExecContext* ctx);
   Result<int64_t> ExecuteBoundUpdate(const BoundDmlPlan& dml,
-                                     const std::vector<Value>* params);
+                                     ExecContext* ctx);
   Result<int64_t> ExecuteBoundDelete(const BoundDmlPlan& dml,
-                                     const std::vector<Value>* params);
+                                     ExecContext* ctx);
   Status ExecuteCreateTable(const sql::CreateTableStmt& ct);
-  Status ExecuteCreateFunction(const sql::CreateFunctionStmt& cf);
+  Status ExecuteCreateFunction(const sql::CreateFunctionStmt& cf,
+                               ExecStats* stats);
   Status ValidateTable(const Table& table);
 
   /// Replan every UDF body: body plans hold raw Table pointers and embed
   /// planner options, so catalog DDL or an options change would otherwise
-  /// leave them dangling/stale. DDL statements refresh eagerly while still
-  /// holding the exclusive statement lock (concurrent statements under the
-  /// shared lock must never observe a body plan mid-replan); the lazy
-  /// `udf_plans_stale_` checks remain as a safety net for single-threaded
-  /// embedders that mutate the catalog directly. Bodies that no longer plan
-  /// (dropped objects) become null — executing them errors cleanly — until a
-  /// later DDL makes them valid again.
+  /// leave them dangling/stale. Every such change calls this while still
+  /// holding the exclusive statement lock, so statements under the shared
+  /// lock never observe a body plan mid-replan. Bodies that no longer plan
+  /// (dropped objects) become null — executing them errors cleanly — until
+  /// a later DDL makes them valid again.
   void RefreshUdfPlans();
 
   /// Recollect the set of tables any UDF body plan scans (the shared-cache
@@ -359,13 +379,14 @@ class Database {
 
   /// Run the test mutation hook, then — when verification is enforced
   /// (debug builds / MTBASE_VERIFY_PLANS=1) — prove the plan's invariants
-  /// under `ctx`, counting ExecStats::plans_verified, recording a verify
-  /// span into `trace`, and refusing violating plans
+  /// under `ctx`, counting ExecStats::plans_verified into `stats`, recording
+  /// a verify span into `trace`, and refusing violating plans
   /// (ExecStats::verify_violations).
   Status VerifyPlan(Plan* plan, const verify::VerifyContext& ctx,
-                    obs::StatementTrace* trace);
+                    ExecStats* stats, obs::StatementTrace* trace);
 
-  ExecContext MakeContext(const std::vector<Value>* params = nullptr);
+  ExecContext MakeContext(ExecStats* stats,
+                          const std::vector<Value>* params = nullptr);
 
   Catalog catalog_;
   UdfRegistry udfs_;
@@ -375,38 +396,23 @@ class Database {
   DbmsProfile profile_;
   PlannerOptions planner_options_;
   std::atomic<uint64_t> options_version_{0};
-  std::atomic<bool> udf_plans_stale_{false};
   SharedUdfCache shared_udf_cache_;
   bool shared_udf_cache_enabled_ = false;
   std::atomic<uint64_t> shared_udf_external_epoch_{0};
   /// Tables scanned by any UDF body plan (deduplicated). Raw pointers are
-  /// safe for the same reason body plans' are: catalog DDL marks
-  /// udf_plans_stale_, and the set is rebuilt with the plans before the
-  /// next execution (CurrentUdfCacheEpoch falls back to the whole-catalog
-  /// data version while stale).
+  /// safe for the same reason body plans' are: every catalog DDL rebuilds
+  /// the set with the plans before releasing the exclusive statement lock.
   std::vector<const Table*> udf_read_tables_;
   /// set_verify_context's value; read under the shared statement lock.
   verify::VerifyContext default_verify_ctx_;
   std::function<void(Plan*)> plan_mutation_hook_;
-  /// Engine-layer trace slot (obs::TraceRecordScope): the active statement's
-  /// trace record, or null outside a traced statement. Nested engine
-  /// statements (e.g. UDF refresh inside Execute) append spans to the
-  /// enclosing record instead of emitting their own. Thread-local so
-  /// concurrent statements trace independently.
-  static thread_local obs::StatementTrace* active_trace_;
   /// Reused profiler for set_profile_execution (bench overhead knob).
   obs::PlanProfiler bench_profiler_;
   bool profile_execution_ = false;
 
-  /// Statement-scope reader/writer lock (see StatementGuard).
+  /// Statement-scope reader/writer lock (see StatementScope).
   std::shared_mutex ddl_mu_;
   AdmissionController admission_;
-
-  // Thread-local statement-nesting state (definitions in database.cc).
-  static thread_local StatsFrame* tl_stats_frame_;
-  static thread_local const Database* tl_guard_owner_;
-  static thread_local int tl_guard_depth_;
-  static thread_local int tl_admission_depth_;
 };
 
 }  // namespace engine

@@ -156,34 +156,25 @@ void Tracer::Emit(StatementTrace* rec) {
   std::fflush(file_);
 }
 
-TraceRecordScope::TraceRecordScope(Tracer* tracer, StatementTrace** slot,
+TraceRecordScope::TraceRecordScope(Tracer* tracer, StatementTrace* enclosing,
                                    const char* layer,
-                                   const std::string& statement) {
-  if (tracer == nullptr || !tracer->enabled() || slot == nullptr) return;
-  if (*slot != nullptr) {
-    // Nested statement at the same layer: append to the enclosing record.
-    record_ = *slot;
-    return;
-  }
+                                   const std::string& statement)
+    : record_(enclosing) {
+  if (enclosing != nullptr || tracer == nullptr || !tracer->enabled()) return;
   tracer_ = tracer;
-  slot_ = slot;
-  owning_ = true;
   owned_.layer = layer;
   owned_.statement = statement.size() > kMaxStatementChars
                          ? statement.substr(0, kMaxStatementChars)
                          : statement;
   record_ = &owned_;
-  *slot_ = record_;
 }
 
 TraceRecordScope::~TraceRecordScope() {
-  if (!owning_) return;
-  *slot_ = nullptr;
-  tracer_->Emit(&owned_);
+  if (tracer_ != nullptr) tracer_->Emit(&owned_);
 }
 
 void TraceRecordScope::FinishFromStatus(const Status& st) {
-  if (owning_) owned_.FinishFromStatus(st);
+  if (tracer_ != nullptr) owned_.FinishFromStatus(st);
 }
 
 SpanTimer::SpanTimer(StatementTrace* rec, const char* phase,

@@ -6,12 +6,14 @@
 // with its duration, ExecStats delta, and outcome. The schema is documented
 // in docs/observability.md and validated by tools/check_trace_schema.py.
 //
-// Ownership: each layer keeps one active-record slot (Database and Session
-// each have their own). A TraceRecordScope creates and owns the record only
-// when its layer's slot is empty; nested statements at the same layer append
-// their spans to the enclosing record. Engine statements issued internally
-// by the session layer (e.g. complex-scope resolution) emit their own
-// layer="engine" records.
+// Nesting: records are passed explicitly, never found through ambient
+// state. A statement's entry point opens a TraceRecordScope; given the
+// caller's record (engine::StatementContext::trace) it adds its spans there,
+// otherwise it creates, owns and emits its own. So Database::Execute holds
+// one engine record for parse, plan, verify and execute; a session
+// statement hands its record to the compiles it triggers (their plan and
+// verify spans land in the session record) but not to the engine
+// executions it sends down, which emit their own layer="engine" records.
 #ifndef MTBASE_ENGINE_OBS_TRACE_H_
 #define MTBASE_ENGINE_OBS_TRACE_H_
 
@@ -84,16 +86,15 @@ class Tracer {
   uint64_t next_seq_ = 0;
 };
 
-/// RAII statement-record scope bound to a layer's active-record slot: creates
-/// and owns a record iff `*slot` was empty, installs it, and on destruction
-/// emits it and clears the slot. When the slot was already occupied (a nested
-/// statement at the same layer) the scope is a pass-through: record() returns
-/// the enclosing record and nothing is emitted. Inactive (record() == null)
-/// when the tracer is off.
+/// RAII statement-record scope: with an `enclosing` record it is a
+/// pass-through (record() returns it and nothing is emitted); otherwise it
+/// creates and owns a record and emits it on destruction. Inactive
+/// (record() == null) when there is no enclosing record and the tracer is
+/// off.
 class TraceRecordScope {
  public:
-  TraceRecordScope(Tracer* tracer, StatementTrace** slot, const char* layer,
-                   const std::string& statement);
+  TraceRecordScope(Tracer* tracer, StatementTrace* enclosing,
+                   const char* layer, const std::string& statement);
   ~TraceRecordScope();
   TraceRecordScope(const TraceRecordScope&) = delete;
   TraceRecordScope& operator=(const TraceRecordScope&) = delete;
@@ -105,11 +106,9 @@ class TraceRecordScope {
   void FinishFromStatus(const Status& st);
 
  private:
-  Tracer* tracer_ = nullptr;
-  StatementTrace** slot_ = nullptr;
+  Tracer* tracer_ = nullptr;  // non-null iff the scope owns owned_
   StatementTrace* record_ = nullptr;
   StatementTrace owned_;
-  bool owning_ = false;
 };
 
 /// RAII span timer: on destruction appends a span named `phase` to `rec`

@@ -1749,15 +1749,17 @@ bool NeedsWholeInput(const Plan& p) {
   return whole;
 }
 
-/// Expression sub-plans are closed plans whose every output the evaluator
-/// reads (IN tuples, scalar values): only their insides are pruned. The
-/// planner exclusively owns the freshly built tree, as in
-/// ApplyPhysicalAccessPaths. UDF body plans are not visited: each was built
-/// (and pruned) by its own Planner::PlanSelect call.
+/// Expression sub-plans are closed plans. The evaluator reads every output
+/// of an IN or scalar sub-plan, but of an EXISTS sub-plan only whether it
+/// returns a row, so none of its outputs is needed. The planner exclusively
+/// owns the freshly built tree, as in ApplyPhysicalAccessPaths. UDF body
+/// plans are not visited: each was built (and pruned) by its own
+/// Planner::PlanSelect call.
 void PruneExprSubplans(const BoundExpr& e) {
   if (e.subplan != nullptr) {
     Plan* sub = const_cast<Plan*>(e.subplan.get());
-    PruneNode(sub, AllOutputs(*sub));
+    PruneNode(sub, std::vector<bool>(sub->columns.size(),
+                                     e.kind != BoundExpr::Kind::kExistsSub));
   }
   ForEachExprChild(e, [](const BoundExpr& c) { PruneExprSubplans(c); });
 }

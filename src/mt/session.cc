@@ -91,7 +91,35 @@ Status Session::SetScope(const std::string& scope_text) {
   return Status::OK();
 }
 
+engine::StatementContext Session::StatementShell(
+    engine::ExecStats* stats, obs::StatementTrace* trace) const {
+  engine::StatementContext ctx;
+  ctx.stats = stats;
+  ctx.trace = trace;
+  ctx.cancel = closed_.get();
+  return ctx;
+}
+
 namespace {
+
+/// What a session statement hands an engine execution it sends down: its
+/// counter frame and cancel flag, but not its trace record — the engine
+/// execution emits its own engine-layer record.
+engine::StatementContext EngineExecution(const engine::StatementContext& ctx) {
+  engine::StatementContext exec;
+  exec.stats = ctx.stats;
+  exec.cancel = ctx.cancel;
+  return exec;
+}
+
+/// The context a session statement's compiles run under: its frame, record
+/// and cancel flag, proving plans against `verify`.
+engine::StatementContext CompileContext(const engine::StatementContext& ctx,
+                                        engine::verify::VerifyContext verify) {
+  engine::StatementContext compile = ctx;
+  compile.verify = std::move(verify);
+  return compile;
+}
 
 void CollectTsTablesFromSelect(const sql::SelectStmt& sel,
                                const MTSchema& schema,
@@ -182,7 +210,8 @@ void Session::CollectTsTables(const sql::Stmt& stmt,
   out->assign(set.begin(), set.end());
 }
 
-Result<std::vector<int64_t>> Session::ResolveDataset(const sql::Stmt& stmt) {
+Result<std::vector<int64_t>> Session::ResolveDataset(
+    const sql::Stmt& stmt, const engine::StatementContext& ctx) {
   std::vector<int64_t> dataset;
   switch (scope_.kind) {
     case Scope::Kind::kDefault:
@@ -230,13 +259,13 @@ Result<std::vector<int64_t>> Session::ResolveDataset(const sql::Stmt& stmt) {
       scope_stmt.select = std::move(rewritten);
       // The scope query itself is contractually unfiltered (it determines
       // D); tell the verifier so.
-      engine::StatementContext ctx{MakeVerifyContext(mw_->tenants()),
-                                   active_trace_};
-      ctx.verify.allow_unfiltered = true;
+      engine::StatementContext compile =
+          CompileContext(ctx, MakeVerifyContext(mw_->tenants()));
+      compile.verify.allow_unfiltered = true;
       MTB_ASSIGN_OR_RETURN(
           auto plan, mw_->db()->PrepareStmt(std::move(scope_stmt),
-                                            std::move(sql_text), ctx));
-      MTB_ASSIGN_OR_RETURN(auto rs, plan.Execute());
+                                            std::move(sql_text), compile));
+      MTB_ASSIGN_OR_RETURN(auto rs, plan.Execute({}, EngineExecution(ctx)));
       for (const auto& row : rs.rows) {
         if (!row.empty() && !row[0].is_null()) {
           dataset.push_back(row[0].int_value());
@@ -278,10 +307,12 @@ RewriteOptions Session::OptionsFor(const std::vector<int64_t>& dataset) const {
 }
 
 Result<std::vector<sql::Stmt>> Session::RewriteStmt(
-    const sql::Stmt& stmt, std::vector<int64_t>* dataset_out) {
-  MTB_ASSIGN_OR_RETURN(std::vector<int64_t> dataset, ResolveDataset(stmt));
+    const sql::Stmt& stmt, const engine::StatementContext& ctx,
+    std::vector<int64_t>* dataset_out) {
+  MTB_ASSIGN_OR_RETURN(std::vector<int64_t> dataset,
+                       ResolveDataset(stmt, ctx));
   if (dataset_out != nullptr) *dataset_out = dataset;
-  return RewriteWithDataset(stmt, dataset);
+  return RewriteWithDataset(stmt, dataset, ctx);
 }
 
 audit::AuditContext Session::MakeAuditContext(
@@ -314,12 +345,12 @@ sql::SelectStmt* OptimizableSelect(sql::Stmt* s) {
 
 Result<std::vector<sql::Stmt>> Session::RewriteWithDataset(
     const sql::Stmt& stmt, const std::vector<int64_t>& dataset,
-    audit::AuditReport* audit_out) {
-  engine::ExecStats* stats = mw_->db()->CurStats();
+    const engine::StatementContext& ctx, audit::AuditReport* audit_out) {
+  engine::ExecStats* stats = ctx.stats;
   ++stats->statements_rewritten;
   std::vector<sql::Stmt> stmts;
   {
-    obs::SpanTimer span(active_trace_, "rewrite", stats);
+    obs::SpanTimer span(ctx.trace, "rewrite", stats);
     Rewriter rewriter(mw_->schema(), mw_->conversions(), client_, dataset,
                       OptionsFor(dataset));
     MTB_ASSIGN_OR_RETURN(stmts, rewriter.RewriteStatement(stmt));
@@ -340,7 +371,7 @@ Result<std::vector<sql::Stmt>> Session::RewriteWithDataset(
   if (auditing) {
     // Traced as "audit" even though it interleaves with optimization below:
     // repeated phases in one record sum to the phase total.
-    obs::SpanTimer span(active_trace_, "audit", stats);
+    obs::SpanTimer span(ctx.trace, "audit", stats);
     actx = MakeAuditContext(dataset);
     audit::RewriteAuditor auditor(&actx);
     report.statements.resize(stmts.size());
@@ -361,7 +392,7 @@ Result<std::vector<sql::Stmt>> Session::RewriteWithDataset(
   }
 
   {
-    obs::SpanTimer span(active_trace_, "rewrite", stats);
+    obs::SpanTimer span(ctx.trace, "rewrite", stats);
     Optimizer opt(mw_->conversions(), client_);
     for (auto& s : stmts) {
       if (sql::SelectStmt* sel = OptimizableSelect(&s)) {
@@ -371,7 +402,7 @@ Result<std::vector<sql::Stmt>> Session::RewriteWithDataset(
   }
 
   if (auditing) {
-    obs::SpanTimer span(active_trace_, "audit", stats);
+    obs::SpanTimer span(ctx.trace, "audit", stats);
     audit::RewriteAuditor auditor(&actx);
     for (size_t i = 0; i < stmts.size(); ++i) {
       if (!pre_opt[i]) continue;
@@ -460,7 +491,8 @@ PreparedQuery::PreparedQuery(Session* session, sql::Stmt stmt,
       stmt_(std::move(stmt)),
       param_count_(sql::MaxParamIndex(stmt_)) {}
 
-Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset) {
+Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset,
+                                const engine::StatementContext& ctx) {
   // Invalidate first so a failed compile cannot leave a usable stale handle.
   key_.valid = false;
   plans_.reset();
@@ -468,12 +500,12 @@ Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset) {
   CompilationKey key = session_->CurrentCompilationKey();
   key.dataset = dataset;
   MTB_ASSIGN_OR_RETURN(auto stmts,
-                       session_->RewriteWithDataset(stmt_, dataset));
+                       session_->RewriteWithDataset(stmt_, dataset, ctx));
   // Tell the verifier what the rewrite just promised: every plan compiled
   // below (and every lazy recompile of it) must restrict tenant-specific
   // access to this dataset.
-  const engine::StatementContext ctx{session_->MakeVerifyContext(dataset),
-                                     session_->active_trace_};
+  const engine::StatementContext compile =
+      CompileContext(ctx, session_->MakeVerifyContext(dataset));
   auto plans = std::make_shared<std::vector<engine::PreparedPlan>>();
   for (auto& s : stmts) {
     std::string text = sql::PrintStmt(s);
@@ -481,7 +513,8 @@ Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset) {
     sql_ += text;
     MTB_ASSIGN_OR_RETURN(
         auto plan,
-        session_->mw_->db()->PrepareStmt(std::move(s), std::move(text), ctx));
+        session_->mw_->db()->PrepareStmt(std::move(s), std::move(text),
+                                         compile));
     plans->push_back(std::move(plan));
   }
   plans_ = std::move(plans);
@@ -491,31 +524,33 @@ Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset) {
 
 Result<engine::ResultSet> PreparedQuery::Execute(
     const std::vector<Value>& params) {
+  engine::Database::StatsFrame frame(session_->mw_->db());
+  return Run(params, session_->StatementShell(frame.stats(), nullptr));
+}
+
+Result<engine::ResultSet> PreparedQuery::Run(
+    const std::vector<Value>& params, const engine::StatementContext& outer) {
   if (session_->closed()) {
     return Status::Internal("statement cancelled: session closed");
   }
-  // Concurrency shell: the session's closed flag cancels admission waits,
-  // the stats frame keeps this statement's counters race-free until they
-  // merge into the database totals, and the shared meta lock holds the MT
-  // meta state (schema, privileges, conversions, tenants) still for the
-  // whole compile+execute path. Then the observability shell: one
-  // session-layer trace record per statement plus session metrics. Nested
-  // statements (e.g. a one-shot Session::Execute that already opened a
-  // record) append their spans to the enclosing record via the Session
-  // slot. The MTSQL text is empty on the one-shot path — print the AST
-  // back only when tracing is on.
-  engine::ScopedCancelToken cancel(session_->closed_.get());
-  engine::Database::StatsFrame frame(session_->mw_->db());
+  // Concurrency shell: the shared meta lock holds the MT meta state (schema,
+  // privileges, conversions, tenants) still for the whole compile+execute
+  // path. Then the observability shell: the caller's session trace record
+  // (the one-shot Session::Execute opened it) or one of our own, plus
+  // session metrics. The MTSQL text is empty on the one-shot path — print
+  // the AST back only when this scope opens a record.
   Middleware::MetaGuard meta(session_->mw_, /*exclusive=*/false);
   obs::Tracer* tracer = obs::Tracer::Global();
+  const bool own_record =
+      outer.trace == nullptr && tracer != nullptr && tracer->enabled();
   obs::TraceRecordScope trace(
-      tracer, &session_->active_trace_, "session",
-      !mtsql_.empty() || tracer == nullptr || !tracer->enabled()
-          ? mtsql_
-          : sql::PrintStmt(stmt_));
-  engine::StatsScope scope(session_->mw_->db()->CurStats());
+      tracer, outer.trace, "session",
+      own_record && mtsql_.empty() ? sql::PrintStmt(stmt_) : mtsql_);
+  engine::StatementContext ctx = outer;
+  ctx.trace = trace.record();
+  engine::StatsScope scope(ctx.stats);
   const auto t0 = std::chrono::steady_clock::now();
-  Result<engine::ResultSet> result = ExecuteImpl(params);
+  Result<engine::ResultSet> result = ExecuteImpl(params, ctx);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -533,20 +568,20 @@ Result<engine::ResultSet> PreparedQuery::Execute(
 }
 
 Result<engine::ResultSet> PreparedQuery::ExecuteImpl(
-    const std::vector<Value>& params) {
+    const std::vector<Value>& params, const engine::StatementContext& ctx) {
   std::vector<int64_t> dataset;
   bool resolved = false;
   if (session_->scope_.kind == Scope::Kind::kComplex) {
     // A complex scope is data-dependent: re-resolve D' on every execution
     // and key the cache on the resolved tenant set.
-    MTB_ASSIGN_OR_RETURN(dataset, session_->ResolveDataset(stmt_));
+    MTB_ASSIGN_OR_RETURN(dataset, session_->ResolveDataset(stmt_, ctx));
     resolved = true;
   }
   bool hit = session_->MatchesCompilationKey(key_) &&
              (!resolved || dataset == key_.dataset);
   if (!hit) {
     if (!resolved) {
-      MTB_ASSIGN_OR_RETURN(dataset, session_->ResolveDataset(stmt_));
+      MTB_ASSIGN_OR_RETURN(dataset, session_->ResolveDataset(stmt_, ctx));
     }
     // Cross-session cache: before recompiling, adopt another session's (or
     // another handle's) compilation of this statement under identical state.
@@ -565,32 +600,33 @@ Result<engine::ResultSet> PreparedQuery::ExecuteImpl(
       key_ = std::move(key);
       // A shared hit skips the rewriter and the planner exactly like a
       // private fingerprint hit does.
-      ++session_->mw_->db()->CurStats()->rewrite_cache_hits;
+      ++ctx.stats->rewrite_cache_hits;
     } else {
-      MTB_RETURN_IF_ERROR(Recompile(dataset));
+      MTB_RETURN_IF_ERROR(Recompile(dataset, ctx));
       cache->Insert(std::move(cache_key), {sql_, plans_});
     }
   } else {
-    ++session_->mw_->db()->CurStats()->rewrite_cache_hits;
+    ++ctx.stats->rewrite_cache_hits;
   }
   session_->last_sql_ = sql_;
-  obs::SpanTimer span(session_->active_trace_, "execute",
-                      session_->mw_->db()->CurStats());
+  obs::SpanTimer span(ctx.trace, "execute", ctx.stats);
+  const engine::StatementContext exec = EngineExecution(ctx);
   engine::ResultSet last;
   for (auto& plan : *plans_) {
-    MTB_ASSIGN_OR_RETURN(last, plan.Execute(params));
+    MTB_ASSIGN_OR_RETURN(last, plan.Execute(params, exec));
   }
   return last;
 }
 
-Status Session::HandleGrant(const sql::GrantStmt& grant) {
+Status Session::HandleGrant(const sql::GrantStmt& grant,
+                            const engine::StatementContext& ctx) {
   std::vector<int64_t> grantees;
   if (grant.to_all) {
     // GRANT ... TO ALL resolves against the current dataset D (paper §2.3).
     sql::Stmt dummy;
     dummy.kind = sql::Stmt::Kind::kSelect;
     dummy.select = std::make_unique<sql::SelectStmt>();
-    MTB_ASSIGN_OR_RETURN(grantees, ResolveDataset(dummy));
+    MTB_ASSIGN_OR_RETURN(grantees, ResolveDataset(dummy, ctx));
   } else {
     grantees = {grant.grantee};
   }
@@ -617,8 +653,10 @@ Status Session::HandleGrant(const sql::GrantStmt& grant) {
   return Status::OK();
 }
 
-Result<engine::ResultSet> Session::ExecuteStmt(const sql::Stmt& stmt) {
+Result<engine::ResultSet> Session::ExecuteStmt(
+    const sql::Stmt& stmt, const engine::StatementContext& ctx) {
   engine::ResultSet empty;
+  const engine::StatementContext exec = EngineExecution(ctx);
   switch (stmt.kind) {
     case sql::Stmt::Kind::kSetScope:
       // Session-local state: a Session serves one client thread at a time.
@@ -627,17 +665,16 @@ Result<engine::ResultSet> Session::ExecuteStmt(const sql::Stmt& stmt) {
     case sql::Stmt::Kind::kGrant: {
       // DCL mutates the privilege matrix: exclusive over the MT meta state.
       Middleware::MetaGuard meta(mw_, /*exclusive=*/true);
-      MTB_RETURN_IF_ERROR(HandleGrant(*stmt.grant));
+      MTB_RETURN_IF_ERROR(HandleGrant(*stmt.grant, ctx));
       return empty;
     }
     case sql::Stmt::Kind::kCreateFunction:
       // Conversion functions pass through to the DBMS unchanged.
-      return mw_->db()->ExecuteStmt(stmt);
     case sql::Stmt::Kind::kCreateIndex:
       // Physical-design DDL passes through: index keys name lowered physical
       // columns (ttid included). The catalog version bump recompiles every
       // prepared query's fingerprint, so new access paths are picked up.
-      return mw_->db()->ExecuteStmt(stmt);
+      return mw_->db()->ExecuteStmt(stmt, exec);
     case sql::Stmt::Kind::kCreateTable: {
       // MTSQL DDL mutates the MT schema registry: exclusive meta lock, then
       // the engine's own exclusive statement lock nests inside.
@@ -655,7 +692,7 @@ Result<engine::ResultSet> Session::ExecuteStmt(const sql::Stmt& stmt) {
       s.create_table =
           std::make_unique<sql::CreateTableStmt>(std::move(lowered).value());
       last_sql_ = sql::PrintStmt(s);
-      auto rs = mw_->db()->ExecuteStmt(s);
+      auto rs = mw_->db()->ExecuteStmt(s, exec);
       if (!rs.ok()) {
         (void)mw_->schema()->DropTable(stmt.create_table->name);
         return rs.status();
@@ -667,36 +704,32 @@ Result<engine::ResultSet> Session::ExecuteStmt(const sql::Stmt& stmt) {
       if (stmt.drop->what == sql::DropStmt::What::kTable) {
         (void)mw_->schema()->DropTable(stmt.drop->name);
       }
-      return mw_->db()->ExecuteStmt(stmt);
+      return mw_->db()->ExecuteStmt(stmt, exec);
     }
     default: {
+      // CREATE VIEW: the view body is rewritten for this client's D' like a
+      // query, then defined through the engine.
       Middleware::MetaGuard meta(mw_, /*exclusive=*/false);
-      std::vector<int64_t> dataset;
-      MTB_ASSIGN_OR_RETURN(auto stmts, RewriteStmt(stmt, &dataset));
-      const engine::StatementContext ctx{MakeVerifyContext(dataset),
-                                         active_trace_};
+      MTB_ASSIGN_OR_RETURN(auto stmts, RewriteStmt(stmt, ctx, nullptr));
       engine::ResultSet last;
       last_sql_.clear();
-      for (auto& s : stmts) {
-        std::string text = sql::PrintStmt(s);
+      for (const auto& s : stmts) {
         if (!last_sql_.empty()) last_sql_ += ";\n";
-        last_sql_ += text;
-        MTB_ASSIGN_OR_RETURN(
-            auto plan,
-            mw_->db()->PrepareStmt(std::move(s), std::move(text), ctx));
-        MTB_ASSIGN_OR_RETURN(last, plan.Execute());
+        last_sql_ += sql::PrintStmt(s);
+        MTB_ASSIGN_OR_RETURN(last, mw_->db()->ExecuteStmt(s, exec));
       }
       return last;
     }
   }
 }
 
-Result<engine::ResultSet> Session::ExecuteOwned(sql::Stmt stmt) {
-  if (!stmt.is_query_or_dml()) return ExecuteStmt(stmt);
+Result<engine::ResultSet> Session::ExecuteOwned(
+    sql::Stmt stmt, const engine::StatementContext& ctx) {
+  if (!stmt.is_query_or_dml()) return ExecuteStmt(stmt, ctx);
   // One-shot = prepare + execute through the same compilation path the
   // prepared API uses.
   PreparedQuery pq(this, std::move(stmt), std::string());
-  return pq.Execute();
+  return pq.Run({}, ctx);
 }
 
 void Session::Close() {
@@ -708,7 +741,7 @@ void Session::Close() {
 
 Result<PreparedQuery> Session::Prepare(const std::string& mtsql) {
   engine::Database::StatsFrame frame(mw_->db());
-  ++mw_->db()->CurStats()->statements_parsed;
+  ++frame.stats()->statements_parsed;
   MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(mtsql));
   if (!stmt.is_query_or_dml()) {
     return Status::InvalidArgument(
@@ -720,20 +753,21 @@ Result<PreparedQuery> Session::Prepare(const std::string& mtsql) {
 
 Result<engine::ResultSet> Session::Execute(const std::string& mtsql) {
   // Open the session-layer trace record here so the parse span and the
-  // rewrite/audit/execute spans of the nested prepared path all land in one
+  // rewrite/audit/execute spans of the prepared path all land in one
   // record for the one-shot surface.
   engine::Database::StatsFrame frame(mw_->db());
-  obs::TraceRecordScope trace(obs::Tracer::Global(), &active_trace_,
-                              "session", mtsql);
+  obs::TraceRecordScope trace(obs::Tracer::Global(), nullptr, "session",
+                              mtsql);
+  const engine::StatementContext ctx =
+      StatementShell(frame.stats(), trace.record());
   auto result = [&]() -> Result<engine::ResultSet> {
-    engine::ExecStats* stats = mw_->db()->CurStats();
-    ++stats->statements_parsed;
+    ++ctx.stats->statements_parsed;
     sql::Stmt stmt;
     {
-      obs::SpanTimer span(active_trace_, "parse", stats);
+      obs::SpanTimer span(ctx.trace, "parse", ctx.stats);
       MTB_ASSIGN_OR_RETURN(stmt, sql::ParseStatement(mtsql));
     }
-    return ExecuteOwned(std::move(stmt));
+    return ExecuteOwned(std::move(stmt), ctx);
   }();
   trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
   return result;
@@ -742,10 +776,11 @@ Result<engine::ResultSet> Session::Execute(const std::string& mtsql) {
 Result<engine::ResultSet> Session::ExecuteScript(const std::string& mtsql) {
   engine::Database::StatsFrame frame(mw_->db());
   MTB_ASSIGN_OR_RETURN(auto stmts, sql::ParseScript(mtsql));
-  mw_->db()->CurStats()->statements_parsed += stmts.size();
+  frame.stats()->statements_parsed += stmts.size();
+  const engine::StatementContext ctx = StatementShell(frame.stats(), nullptr);
   engine::ResultSet last;
   for (size_t i = 0; i < stmts.size(); ++i) {
-    auto r = ExecuteOwned(std::move(stmts[i]));
+    auto r = ExecuteOwned(std::move(stmts[i]), ctx);
     if (!r.ok()) return AtScriptStatement(i + 1, r.status());
     last = std::move(r).value();
   }
@@ -757,21 +792,19 @@ Result<std::string> Session::Explain(const std::string& mtsql,
                                      engine::ResultSet* analyze_result) {
   engine::Database::StatsFrame frame(mw_->db());
   Middleware::MetaGuard meta(mw_, /*exclusive=*/false);
+  const engine::StatementContext shell = StatementShell(frame.stats(), nullptr);
   MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(mtsql));
-  MTB_ASSIGN_OR_RETURN(std::vector<int64_t> dataset, ResolveDataset(stmt));
+  MTB_ASSIGN_OR_RETURN(std::vector<int64_t> dataset,
+                       ResolveDataset(stmt, shell));
   audit::AuditReport report;
-  MTB_ASSIGN_OR_RETURN(
-      auto stmts,
-      RewriteWithDataset(stmt, dataset, options.audit ? &report : nullptr));
+  MTB_ASSIGN_OR_RETURN(auto stmts,
+                       RewriteWithDataset(stmt, dataset, shell,
+                                          options.audit ? &report : nullptr));
   // ANALYZE compiles under the same context a plain execution would, so
   // enforcement (debug builds / MTBASE_VERIFY_PLANS=1) proves the same
   // invariants; the VERIFY footer reports against it too.
-  const engine::StatementContext ctx{MakeVerifyContext(dataset),
-                                     active_trace_};
-  if (options.verify || options.analyze) {
-    // The verifier follows UDF body plans; replan any staled by DDL first.
-    mw_->db()->EnsureUdfPlansFresh();
-  }
+  const engine::StatementContext ctx =
+      CompileContext(shell, MakeVerifyContext(dataset));
   std::string out;
   for (size_t i = 0; i < stmts.size(); ++i) {
     const sql::Stmt& s = stmts[i];
@@ -802,7 +835,9 @@ Result<std::string> Session::Rewrite(const std::string& mtsql) {
   engine::Database::StatsFrame frame(mw_->db());
   Middleware::MetaGuard meta(mw_, /*exclusive=*/false);
   MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(mtsql));
-  MTB_ASSIGN_OR_RETURN(auto stmts, RewriteStmt(stmt, nullptr));
+  MTB_ASSIGN_OR_RETURN(
+      auto stmts,
+      RewriteStmt(stmt, StatementShell(frame.stats(), nullptr), nullptr));
   std::string out;
   for (const auto& s : stmts) {
     if (!out.empty()) out += ";\n";

@@ -215,10 +215,17 @@ class PreparedQuery {
   friend class Session;
   PreparedQuery(Session* session, sql::Stmt stmt, std::string mtsql);
 
-  Status Recompile(const std::vector<int64_t>& dataset);
-  /// The execution body. Execute() wraps it with the observability surface
-  /// (session-layer trace record, execute span, metrics).
-  Result<engine::ResultSet> ExecuteImpl(const std::vector<Value>& params);
+  Status Recompile(const std::vector<int64_t>& dataset,
+                   const engine::StatementContext& ctx);
+  /// Execute inside the caller's session statement `ctx` (its counter
+  /// frame, session trace record if any, cancel flag): the meta lock and the
+  /// observability surface (session-layer trace record, metrics) around
+  /// ExecuteImpl.
+  Result<engine::ResultSet> Run(const std::vector<Value>& params,
+                                const engine::StatementContext& ctx);
+  /// The execution body; `ctx.trace` is the statement's session record.
+  Result<engine::ResultSet> ExecuteImpl(const std::vector<Value>& params,
+                                        const engine::StatementContext& ctx);
 
   Session* session_;
   std::string mtsql_;
@@ -297,17 +304,33 @@ class Session {
 
   /// Resolve the current dataset D (evaluating complex scopes) and prune it
   /// against privileges for the tables of `stmt` (D'; paper section 3).
-  Result<std::vector<int64_t>> ResolveDataset(const sql::Stmt& stmt);
+  /// Inside a session statement, `ctx` is that statement's context: a
+  /// complex scope's query then compiles into its record and counts into
+  /// its frame.
+  Result<std::vector<int64_t>> ResolveDataset(
+      const sql::Stmt& stmt, const engine::StatementContext& ctx = {});
 
  private:
   friend class PreparedQuery;
 
-  Result<engine::ResultSet> ExecuteStmt(const sql::Stmt& stmt);
+  // Every session statement opens one counter frame (and, on the one-shot
+  // Execute path, one session trace record) at its entry point and passes
+  // them down explicitly as an engine::StatementContext whose `verify` is
+  // unused at this layer.
+
+  /// The context of a session statement: `stats`, `trace`, and this
+  /// session's closed flag as the engine's admission cancel flag.
+  engine::StatementContext StatementShell(engine::ExecStats* stats,
+                                          obs::StatementTrace* trace) const;
+  Result<engine::ResultSet> ExecuteStmt(const sql::Stmt& stmt,
+                                        const engine::StatementContext& ctx);
   /// Route an owned statement: queries and DML through the prepared path,
   /// everything else through ExecuteStmt.
-  Result<engine::ResultSet> ExecuteOwned(sql::Stmt stmt);
-  Result<std::vector<sql::Stmt>> RewriteStmt(const sql::Stmt& stmt,
-                                             std::vector<int64_t>* dataset_out);
+  Result<engine::ResultSet> ExecuteOwned(sql::Stmt stmt,
+                                         const engine::StatementContext& ctx);
+  Result<std::vector<sql::Stmt>> RewriteStmt(
+      const sql::Stmt& stmt, const engine::StatementContext& ctx,
+      std::vector<int64_t>* dataset_out);
   /// Rewrite + optimize against an already resolved dataset D'. When the
   /// rewrite auditor is enabled (audit::AuditEnabled) the rewritten
   /// statements are audited before and after optimization and audit failures
@@ -315,13 +338,15 @@ class Session {
   /// (AUDIT) surface), which always audits and reports instead of refusing.
   Result<std::vector<sql::Stmt>> RewriteWithDataset(
       const sql::Stmt& stmt, const std::vector<int64_t>& dataset,
+      const engine::StatementContext& ctx,
       audit::AuditReport* audit_out = nullptr);
   /// Does `key` still describe the current session/middleware state
   /// (everything except a complex scope's dataset)? Allocation-free.
   bool MatchesCompilationKey(const CompilationKey& key) const;
   /// Materialize the current compilation key (dataset left empty).
   CompilationKey CurrentCompilationKey() const;
-  Status HandleGrant(const sql::GrantStmt& grant);
+  Status HandleGrant(const sql::GrantStmt& grant,
+                     const engine::StatementContext& ctx);
   RewriteOptions OptionsFor(const std::vector<int64_t>& dataset) const;
   /// The assumptions the engine's PlanVerifier may make about plans compiled
   /// from this session's statements: tenant-isolation checking on, expected
@@ -341,20 +366,13 @@ class Session {
   int64_t client_;
   Scope scope_ = Scope::Default();
   OptLevel level_ = OptLevel::kO4;
-  /// Set by Close(); installed as the admission-wait cancel token around
-  /// every statement this session executes. Shared so a PreparedQuery
-  /// blocked in an admission queue observes the flip even while Close()
-  /// runs on another thread.
+  /// Set by Close(); handed to the engine as the admission-wait cancel
+  /// flag of every statement this session executes. Shared so a
+  /// PreparedQuery blocked in an admission queue observes the flip even
+  /// while Close() runs on another thread.
   std::shared_ptr<std::atomic<bool>> closed_ =
       std::make_shared<std::atomic<bool>>(false);
   std::string last_sql_;
-  /// Session-layer trace slot (obs::TraceRecordScope): the active MTSQL
-  /// statement's trace record, or null outside a traced statement. Distinct
-  /// from the engine Database's slot — with MTBASE_TRACE set, one statement
-  /// emits a session-layer record (parse/rewrite/audit spans, the plan/verify
-  /// spans of the compiles it triggers, and execute) plus an engine-layer
-  /// record per SQL statement sent down.
-  obs::StatementTrace* active_trace_ = nullptr;
 };
 
 }  // namespace mt

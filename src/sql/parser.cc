@@ -71,6 +71,27 @@ class Parser {
   }
   Result<std::string> ExpectIdentifier(const std::string& what);
 
+  /// Restores the nesting depth when a parse function returns (see Nest).
+  class DepthScope {
+   public:
+    explicit DepthScope(int* depth) : depth_(depth), saved_(*depth) {}
+    ~DepthScope() { *depth_ = saved_; }
+    DepthScope(const DepthScope&) = delete;
+    DepthScope& operator=(const DepthScope&) = delete;
+
+   private:
+    int* depth_;
+    int saved_;
+  };
+  /// Descend one nesting level (kMaxNestingDepth): recursive productions
+  /// call it once on entry, operator chains once per link.
+  Status Nest() {
+    if (++depth_ <= kMaxNestingDepth) return Status::OK();
+    return Status::InvalidArgument(
+        "statement nests deeper than " + std::to_string(kMaxNestingDepth) +
+        " levels near offset " + std::to_string(Peek().pos));
+  }
+
   // Expression precedence chain.
   Result<ExprPtr> ParseOr();
   Result<ExprPtr> ParseAnd();
@@ -100,6 +121,7 @@ class Parser {
   bool saw_question_param_ = false;
   bool saw_dollar_param_ = false;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting depth (Nest)
 };
 
 bool Parser::MatchSym(const std::string& s) {
@@ -136,11 +158,17 @@ bool Parser::IsReserved(const std::string& word) const {
 // Expressions
 // ---------------------------------------------------------------------------
 
-Result<ExprPtr> Parser::ParseExpr() { return ParseOr(); }
+Result<ExprPtr> Parser::ParseExpr() {
+  DepthScope scope(&depth_);
+  MTB_RETURN_IF_ERROR(Nest());
+  return ParseOr();
+}
 
 Result<ExprPtr> Parser::ParseOr() {
+  DepthScope scope(&depth_);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
   while (MatchKw("OR")) {
+    MTB_RETURN_IF_ERROR(Nest());
     MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
     lhs = Binary("OR", std::move(lhs), std::move(rhs));
   }
@@ -148,8 +176,10 @@ Result<ExprPtr> Parser::ParseOr() {
 }
 
 Result<ExprPtr> Parser::ParseAnd() {
+  DepthScope scope(&depth_);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
   while (MatchKw("AND")) {
+    MTB_RETURN_IF_ERROR(Nest());
     MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
     lhs = Binary("AND", std::move(lhs), std::move(rhs));
   }
@@ -158,6 +188,8 @@ Result<ExprPtr> Parser::ParseAnd() {
 
 Result<ExprPtr> Parser::ParseNot() {
   if (MatchKw("NOT")) {
+    DepthScope scope(&depth_);
+    MTB_RETURN_IF_ERROR(Nest());
     MTB_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
     return Unary("NOT", std::move(inner));
   }
@@ -165,8 +197,10 @@ Result<ExprPtr> Parser::ParseNot() {
 }
 
 Result<ExprPtr> Parser::ParseComparison() {
+  DepthScope scope(&depth_);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
-  for (;;) {
+  for (bool chained = false;; chained = true) {
+    if (chained) MTB_RETURN_IF_ERROR(Nest());  // lhs grew one link
     bool negated = false;
     if (IsKw("NOT") && (IsKw("IN", 1) || IsKw("LIKE", 1) || IsKw("BETWEEN", 1))) {
       Advance();
@@ -239,9 +273,11 @@ Result<ExprPtr> Parser::ParseComparison() {
 }
 
 Result<ExprPtr> Parser::ParseAdditive() {
+  DepthScope scope(&depth_);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
   for (;;) {
     if (IsSym("+") || IsSym("-") || IsSym("||")) {
+      MTB_RETURN_IF_ERROR(Nest());
       std::string op = Advance().text;
       MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
       lhs = Binary(op, std::move(lhs), std::move(rhs));
@@ -253,9 +289,11 @@ Result<ExprPtr> Parser::ParseAdditive() {
 }
 
 Result<ExprPtr> Parser::ParseMultiplicative() {
+  DepthScope scope(&depth_);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
   for (;;) {
     if (IsSym("*") || IsSym("/")) {
+      MTB_RETURN_IF_ERROR(Nest());
       std::string op = Advance().text;
       MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
       lhs = Binary(op, std::move(lhs), std::move(rhs));
@@ -267,12 +305,13 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
 }
 
 Result<ExprPtr> Parser::ParseUnary() {
-  if (MatchSym("-")) {
-    MTB_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
-    return Unary("-", std::move(inner));
-  }
-  if (MatchSym("+")) return ParseUnary();
-  return ParsePrimary();
+  const bool minus = IsSym("-");
+  if (!minus && !IsSym("+")) return ParsePrimary();
+  Advance();
+  DepthScope scope(&depth_);
+  MTB_RETURN_IF_ERROR(Nest());
+  MTB_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
+  return minus ? Unary("-", std::move(inner)) : std::move(inner);
 }
 
 Result<std::vector<ExprPtr>> Parser::ParseExprList() {
@@ -494,6 +533,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
 // ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
+  DepthScope scope(&depth_);
+  MTB_RETURN_IF_ERROR(Nest());
   MTB_RETURN_IF_ERROR(ExpectKw("SELECT"));
   auto s = std::make_unique<SelectStmt>();
   s->distinct = MatchKw("DISTINCT");
@@ -586,6 +627,7 @@ Result<std::unique_ptr<TableRef>> Parser::ParseTablePrimary() {
 }
 
 Result<std::unique_ptr<TableRef>> Parser::ParseTableRef() {
+  DepthScope scope(&depth_);
   MTB_ASSIGN_OR_RETURN(auto left, ParseTablePrimary());
   for (;;) {
     JoinType jt = JoinType::kInner;
@@ -602,6 +644,7 @@ Result<std::unique_ptr<TableRef>> Parser::ParseTableRef() {
     } else {
       break;
     }
+    MTB_RETURN_IF_ERROR(Nest());
     MTB_ASSIGN_OR_RETURN(auto right, ParseTablePrimary());
     auto join = std::make_unique<TableRef>();
     join->kind = TableRef::Kind::kJoin;

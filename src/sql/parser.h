@@ -12,6 +12,15 @@
 namespace mtbase {
 namespace sql {
 
+/// Deepest nesting a statement may reach: parenthesized, sub-query, NOT and
+/// unary-minus levels plus operator-chain links (`a + b + c` parses into a
+/// left-deep tree) all count one. Every later stage (rewriter, binder,
+/// planner, evaluator, printer, the AST's own destructor) recurses over the
+/// tree, so deeper input is refused here with InvalidArgument instead of
+/// overflowing the stack downstream. Sized for the heaviest build: under
+/// AddressSanitizer one parenthesis level costs ~20 KB of an 8 MB stack.
+constexpr int kMaxNestingDepth = 256;
+
 /// Parse a single statement (trailing ';' optional).
 Result<Stmt> ParseStatement(const std::string& text);
 

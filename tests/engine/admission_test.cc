@@ -227,26 +227,43 @@ TEST_F(AdmissionDatabaseTest, StatementsRespectCapAndMetricsReconcile) {
       issued);
 }
 
-// A statement queued at the gate whose cancel token flips (the session-
+// A statement queued at the gate whose cancel flag flips (the session-
 // teardown path) aborts with a clean error; the slot holder is unaffected
-// and the gate is reusable afterwards.
+// and the gate is reusable afterwards. The flag reaches the gate only
+// through the statement's explicit StatementContext.
 TEST_F(AdmissionDatabaseTest, QueuedStatementAbortsOnCancelToken) {
   db_.set_max_concurrent_statements(1);
+  ASSERT_OK_AND_ASSIGN(PreparedPlan plan,
+                       db_.Prepare("SELECT COUNT(*) FROM t"));
   ASSERT_OK(db_.admission()->Acquire(nullptr));  // occupy the only slot
   std::atomic<bool> closed{false};
+  std::atomic<bool> finished{false};
   Status queued_status = Status::OK();
   std::thread queued([&] {
-    ScopedCancelToken token(&closed);
-    queued_status = db_.Execute("SELECT COUNT(*) FROM t").status();
+    StatementContext ctx;
+    ctx.cancel = &closed;
+    queued_status = plan.Execute({}, ctx).status();
+    finished.store(true, std::memory_order_release);
   });
   while (db_.admission()->queue_depth() < 1) std::this_thread::yield();
   closed.store(true, std::memory_order_release);
   db_.admission()->NotifyAll();
+  // A statement that ignored the flag would stay queued behind the held
+  // slot: wait a bounded time, then free the slot so the test fails
+  // instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!finished.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool aborted_while_queued = finished.load(std::memory_order_acquire);
+  db_.admission()->Release();
   queued.join();
+  EXPECT_TRUE(aborted_while_queued);
   EXPECT_FALSE(queued_status.ok());
   EXPECT_NE(queued_status.ToString().find("cancel"), std::string::npos)
       << queued_status.ToString();
-  db_.admission()->Release();
   // The gate still works: the next statement is admitted and runs.
   ASSERT_OK_AND_ASSIGN(auto rs, db_.Execute("SELECT COUNT(*) FROM t"));
   EXPECT_EQ(CanonRows(rs.rows), CanonRows({{Value::Int(600)}}));

@@ -275,6 +275,58 @@ TEST_F(ConcurrencyTest, DdlConcurrentWithScans) {
   EXPECT_EQ(failures.count(), 0) << failures.first();
 }
 
+// DROP replans UDF bodies like every other DDL: under its exclusive lock,
+// before it returns. Readers calling an immutable SQL UDF while another
+// thread creates and drops a view never see a body plan mid-replan (a
+// replan deferred to the next statement would run under the shared lock,
+// racing the readers' planner, verifier and executor on `body_plan` — the
+// TSan lane reports that race).
+TEST_F(ConcurrencyTest, DropReplansUdfBodiesUnderItsLock) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE t (a INTEGER NOT NULL);
+    INSERT INTO t VALUES (1), (2), (3);
+    CREATE FUNCTION f (INTEGER) RETURNS INTEGER
+      AS 'SELECT $1 + 1' LANGUAGE SQL IMMUTABLE;
+    CREATE VIEW dv AS SELECT a FROM t;
+    CREATE FUNCTION g () RETURNS INTEGER
+      AS 'SELECT COUNT(*) FROM dv' LANGUAGE SQL IMMUTABLE;
+  )"));
+  ASSERT_NE(db_.udfs()->Find("g")->body_plan, nullptr);
+  // The body of g reads a dropped view: it no longer plans, and DROP has
+  // already nulled it by the time the statement returns.
+  ASSERT_OK(db_.Execute("DROP VIEW dv"));
+  EXPECT_EQ(db_.udfs()->Find("g")->body_plan, nullptr);
+  EXPECT_NE(db_.udfs()->Find("f")->body_plan, nullptr);
+
+  constexpr int kReaders = 3;
+  constexpr int kDdlRounds = 200;
+  std::atomic<bool> done{false};
+  FailureLog failures;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        auto rs = db_.Execute("SELECT f(a) FROM t");
+        if (!rs.ok()) {
+          failures.Record(rs.status().ToString());
+        } else if (CanonRows(rs.value().rows) !=
+                   CanonRows({{Value::Int(2)}, {Value::Int(3)},
+                              {Value::Int(4)}})) {
+          failures.Record("wrong f(a): " + CanonRows(rs.value().rows));
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kDdlRounds; ++i) {
+    Status st = db_.Execute("CREATE VIEW v AS SELECT a FROM t").status();
+    if (st.ok()) st = db_.Execute("DROP VIEW v").status();
+    if (!st.ok()) failures.Record(st.ToString());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(failures.count(), 0) << failures.first();
+}
+
 // Statement accounting must reconcile across threads: the process-wide
 // metrics counter moves by exactly the number of statements issued.
 TEST_F(ConcurrencyTest, MetricsReconcileAcrossThreads) {

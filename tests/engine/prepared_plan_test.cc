@@ -215,8 +215,15 @@ TEST_F(PreparedPlanTest, UdfBodyReplannedAfterDdl) {
 }
 
 TEST_F(PreparedPlanTest, SetScopeNotPreparable) {
-  auto r = db_.Prepare("SET SCOPE = \"IN (1)\"");
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // Only SELECT and DML compile into a prepared handle; MTSQL session
+  // statements, DDL and DCL run through Execute / ExecuteStmt.
+  for (const char* sql : {"SET SCOPE = \"IN (1)\"",
+                          "CREATE TABLE never_prepared (a INTEGER)",
+                          "GRANT READ ON DATABASE TO 1"}) {
+    auto r = db_.Prepare(sql);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  EXPECT_EQ(db_.catalog()->FindTable("never_prepared"), nullptr);
 }
 
 TEST_F(PreparedPlanTest, ScriptErrorsCarryStatementIndex) {

@@ -41,6 +41,41 @@ TEST(ParserTest, ComparisonChainsReject) {
   EXPECT_EQ(e->op, "=");
 }
 
+// Nesting past kMaxNestingDepth is refused with a clean InvalidArgument, in
+// both shapes that would otherwise overflow the stack: deep parentheses
+// (parser recursion) and a long operator chain (a left-deep AST every later
+// stage, the destructor included, recurses over).
+TEST(ParserTest, NestingDeeperThanTheLimitIsRefused) {
+  const int kDeep = 10000;
+  const std::string parens =
+      "SELECT " + std::string(kDeep, '(') + "1" + std::string(kDeep, ')');
+  EXPECT_EQ(ParseStatement(parens).status().code(),
+            StatusCode::kInvalidArgument);
+  std::string chain = "SELECT 1";
+  for (int i = 0; i < 200000; ++i) chain += "+1";
+  EXPECT_EQ(ParseStatement(chain).status().code(),
+            StatusCode::kInvalidArgument);
+  std::string nots = "SELECT x FROM t WHERE ";
+  for (int i = 0; i < kDeep; ++i) nots += "NOT ";
+  EXPECT_EQ(ParseStatement(nots + "a").status().code(),
+            StatusCode::kInvalidArgument);
+  std::string subqueries = "SELECT 1";
+  for (int i = 0; i < kDeep; ++i) {
+    subqueries = "SELECT * FROM (" + subqueries + ") AS d";
+    if (subqueries.size() > 200000) break;
+  }
+  EXPECT_EQ(ParseStatement(subqueries).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Well inside the limit, both shapes still parse.
+  const int kOk = kMaxNestingDepth / 2;
+  EXPECT_OK(ParseStatement("SELECT " + std::string(kOk, '(') + "1" +
+                           std::string(kOk, ')')));
+  std::string ok_chain = "SELECT 1";
+  for (int i = 0; i < kOk; ++i) ok_chain += " AND 1 = 1";
+  EXPECT_OK(ParseStatement(ok_chain));
+}
+
 TEST(ParserTest, InListAndSubquery) {
   ASSERT_OK_AND_ASSIGN(auto e, ParseExpression("x IN (1, 2, 3)"));
   EXPECT_EQ(e->kind, ExprKind::kInList);
