@@ -42,24 +42,17 @@ Database::StatementScope::StatementScope(Database* db,
                                          bool exclusive)
     : db_(db),
       status_(db->admission_.Acquire(ctx.cancel)),
-      frame_(db, ctx.stats),
-      exclusive_(exclusive) {
+      frame_(db, ctx.stats) {
   if (!status_.ok()) return;
-  if (exclusive_) {
-    db_->ddl_mu_.lock();
+  if (exclusive) {
+    exclusive_lock_ = std::unique_lock<std::shared_mutex>(db->ddl_mu_);
   } else {
-    db_->ddl_mu_.lock_shared();
+    shared_lock_ = std::shared_lock<std::shared_mutex>(db->ddl_mu_);
   }
 }
 
 Database::StatementScope::~StatementScope() {
-  if (!status_.ok()) return;
-  if (exclusive_) {
-    db_->ddl_mu_.unlock();
-  } else {
-    db_->ddl_mu_.unlock_shared();
-  }
-  db_->admission_.Release();
+  if (status_.ok()) db_->admission_.Release();
 }
 
 template <typename Body>
@@ -260,10 +253,6 @@ PreparedPlan::CompileLocked(ExecStats* stats, obs::StatementTrace* trace) {
     if (sel == nullptr) ++stats->statements_planned;
   }
   return std::shared_ptr<const CompiledState>(std::move(state));
-}
-
-Result<ResultSet> PreparedPlan::Execute(const std::vector<Value>& params) {
-  return Execute(params, StatementContext());
 }
 
 Result<ResultSet> PreparedPlan::Execute(const std::vector<Value>& params,

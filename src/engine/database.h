@@ -101,13 +101,11 @@ class PreparedPlan {
   ~PreparedPlan();
 
   /// Run the statement with `params` bound to $1..$n (left to right for ?).
-  Result<ResultSet> Execute(const std::vector<Value>& params = {});
-  /// Same, inside the caller's statement: counts into ctx.stats, records
-  /// into ctx.trace and aborts a queued admission wait on ctx.cancel.
-  /// ctx.verify is not read: the handle keeps the context it was prepared
-  /// under.
-  Result<ResultSet> Execute(const std::vector<Value>& params,
-                            const StatementContext& ctx);
+  /// Inside a caller's statement, counts into ctx.stats, records into
+  /// ctx.trace and aborts a queued admission wait on ctx.cancel. ctx.verify
+  /// is not read: the handle keeps the context it was prepared under.
+  Result<ResultSet> Execute(const std::vector<Value>& params = {},
+                            const StatementContext& ctx = {});
 
   /// Number of parameter slots the statement references.
   int param_count() const { return param_count_; }
@@ -326,7 +324,8 @@ class Database {
     Database* db_;
     Status status_;
     StatsFrame frame_;
-    bool exclusive_;
+    std::unique_lock<std::shared_mutex> exclusive_lock_;
+    std::shared_lock<std::shared_mutex> shared_lock_;
   };
 
   /// The shell of an executing statement: its StatementScope, its engine

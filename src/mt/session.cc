@@ -91,15 +91,6 @@ Status Session::SetScope(const std::string& scope_text) {
   return Status::OK();
 }
 
-engine::StatementContext Session::StatementShell(
-    engine::ExecStats* stats, obs::StatementTrace* trace) const {
-  engine::StatementContext ctx;
-  ctx.stats = stats;
-  ctx.trace = trace;
-  ctx.cancel = closed_.get();
-  return ctx;
-}
-
 namespace {
 
 /// What a session statement hands an engine execution it sends down: its
@@ -525,7 +516,7 @@ Status PreparedQuery::Recompile(const std::vector<int64_t>& dataset,
 Result<engine::ResultSet> PreparedQuery::Execute(
     const std::vector<Value>& params) {
   engine::Database::StatsFrame frame(session_->mw_->db());
-  return Run(params, session_->StatementShell(frame.stats(), nullptr));
+  return Run(params, {{}, nullptr, frame.stats(), session_->closed_.get()});
 }
 
 Result<engine::ResultSet> PreparedQuery::Run(
@@ -758,8 +749,8 @@ Result<engine::ResultSet> Session::Execute(const std::string& mtsql) {
   engine::Database::StatsFrame frame(mw_->db());
   obs::TraceRecordScope trace(obs::Tracer::Global(), nullptr, "session",
                               mtsql);
-  const engine::StatementContext ctx =
-      StatementShell(frame.stats(), trace.record());
+  const engine::StatementContext ctx{{}, trace.record(), frame.stats(),
+                                     closed_.get()};
   auto result = [&]() -> Result<engine::ResultSet> {
     ++ctx.stats->statements_parsed;
     sql::Stmt stmt;
@@ -777,7 +768,8 @@ Result<engine::ResultSet> Session::ExecuteScript(const std::string& mtsql) {
   engine::Database::StatsFrame frame(mw_->db());
   MTB_ASSIGN_OR_RETURN(auto stmts, sql::ParseScript(mtsql));
   frame.stats()->statements_parsed += stmts.size();
-  const engine::StatementContext ctx = StatementShell(frame.stats(), nullptr);
+  const engine::StatementContext ctx{{}, nullptr, frame.stats(),
+                                     closed_.get()};
   engine::ResultSet last;
   for (size_t i = 0; i < stmts.size(); ++i) {
     auto r = ExecuteOwned(std::move(stmts[i]), ctx);
@@ -792,7 +784,8 @@ Result<std::string> Session::Explain(const std::string& mtsql,
                                      engine::ResultSet* analyze_result) {
   engine::Database::StatsFrame frame(mw_->db());
   Middleware::MetaGuard meta(mw_, /*exclusive=*/false);
-  const engine::StatementContext shell = StatementShell(frame.stats(), nullptr);
+  const engine::StatementContext shell{{}, nullptr, frame.stats(),
+                                       closed_.get()};
   MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(mtsql));
   MTB_ASSIGN_OR_RETURN(std::vector<int64_t> dataset,
                        ResolveDataset(stmt, shell));
@@ -837,7 +830,7 @@ Result<std::string> Session::Rewrite(const std::string& mtsql) {
   MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(mtsql));
   MTB_ASSIGN_OR_RETURN(
       auto stmts,
-      RewriteStmt(stmt, StatementShell(frame.stats(), nullptr), nullptr));
+      RewriteStmt(stmt, {{}, nullptr, frame.stats(), closed_.get()}, nullptr));
   std::string out;
   for (const auto& s : stmts) {
     if (!out.empty()) out += ";\n";

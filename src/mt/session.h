@@ -315,13 +315,9 @@ class Session {
 
   // Every session statement opens one counter frame (and, on the one-shot
   // Execute path, one session trace record) at its entry point and passes
-  // them down explicitly as an engine::StatementContext whose `verify` is
-  // unused at this layer.
+  // them down with this session's closed flag as an
+  // engine::StatementContext whose `verify` is unused at this layer.
 
-  /// The context of a session statement: `stats`, `trace`, and this
-  /// session's closed flag as the engine's admission cancel flag.
-  engine::StatementContext StatementShell(engine::ExecStats* stats,
-                                          obs::StatementTrace* trace) const;
   Result<engine::ResultSet> ExecuteStmt(const sql::Stmt& stmt,
                                         const engine::StatementContext& ctx);
   /// Route an owned statement: queries and DML through the prepared path,

@@ -76,8 +76,6 @@ class Parser {
    public:
     explicit DepthScope(int* depth) : depth_(depth), saved_(*depth) {}
     ~DepthScope() { *depth_ = saved_; }
-    DepthScope(const DepthScope&) = delete;
-    DepthScope& operator=(const DepthScope&) = delete;
 
    private:
     int* depth_;
