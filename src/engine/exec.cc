@@ -921,38 +921,22 @@ namespace {
 bool ExprHasOuterRefs(const BoundExpr& e);
 
 bool PlanHasOuterRefsImpl(const Plan& p) {
-  auto check = [](const BoundExprPtr& e) {
-    return e && ExprHasOuterRefs(*e);
-  };
-  if (check(p.scan_filter) || check(p.residual) || check(p.predicate)) {
-    return true;
-  }
-  for (const auto& e : p.exprs) {
-    if (check(e)) return true;
-  }
-  for (const auto& e : p.left_keys) {
-    if (check(e)) return true;
-  }
-  for (const auto& e : p.right_keys) {
-    if (check(e)) return true;
-  }
-  for (const auto& a : p.aggs) {
-    if (check(a.arg)) return true;
-  }
+  bool found = false;
+  ForEachPlanExpr(p, [&found](const BoundExpr& e) {
+    found = found || ExprHasOuterRefs(e);
+  });
+  if (found) return true;
   if (p.left && PlanHasOuterRefsImpl(*p.left)) return true;
-  if (p.right && PlanHasOuterRefsImpl(*p.right)) return true;
-  return false;
+  return p.right && PlanHasOuterRefsImpl(*p.right);
 }
 
 bool ExprHasOuterRefs(const BoundExpr& e) {
   if (e.kind == BoundExpr::Kind::kOuterSlot) return true;
-  for (const auto& a : e.args) {
-    if (ExprHasOuterRefs(*a)) return true;
-  }
-  if (e.case_operand && ExprHasOuterRefs(*e.case_operand)) return true;
-  if (e.else_expr && ExprHasOuterRefs(*e.else_expr)) return true;
-  if (e.subplan && PlanHasOuterRefsImpl(*e.subplan)) return true;
-  return false;
+  bool found = false;
+  ForEachExprChild(e, [&found](const BoundExpr& c) {
+    found = found || ExprHasOuterRefs(c);
+  });
+  return found || (e.subplan && PlanHasOuterRefsImpl(*e.subplan));
 }
 
 }  // namespace

@@ -98,20 +98,17 @@ void CollectAggCalls(const sql::Expr& e, std::vector<const sql::Expr*>* out) {
     out->push_back(&e);
     return;  // nested aggregates are rejected when binding the argument
   }
-  for (const auto& a : e.args) CollectAggCalls(*a, out);
-  if (e.case_operand) CollectAggCalls(*e.case_operand, out);
-  if (e.else_expr) CollectAggCalls(*e.else_expr, out);
   // Aggregates inside sub-queries belong to the sub-query.
+  sql::ForEachExprChild(
+      e, [out](const sql::Expr& c) { CollectAggCalls(c, out); });
 }
 
 bool ContainsSubquery(const sql::Expr& e) {
-  if (e.subquery) return true;
-  for (const auto& a : e.args) {
-    if (ContainsSubquery(*a)) return true;
-  }
-  if (e.case_operand && ContainsSubquery(*e.case_operand)) return true;
-  if (e.else_expr && ContainsSubquery(*e.else_expr)) return true;
-  return false;
+  bool found = e.subquery != nullptr;
+  sql::ForEachExprChild(e, [&found](const sql::Expr& c) {
+    found = found || ContainsSubquery(c);
+  });
+  return found;
 }
 
 BoundExprPtr MakeSlot(int slot) {
@@ -172,14 +169,11 @@ bool SinkableSlotRange(const BoundExpr& e, int* max_slot) {
       break;
   }
   if (e.correlated) return false;
-  for (const auto& a : e.args) {
-    if (!SinkableSlotRange(*a, max_slot)) return false;
-  }
-  if (e.case_operand && !SinkableSlotRange(*e.case_operand, max_slot)) {
-    return false;
-  }
-  if (e.else_expr && !SinkableSlotRange(*e.else_expr, max_slot)) return false;
-  return true;
+  bool sinkable = true;
+  ForEachExprChild(e, [&](const BoundExpr& c) {
+    sinkable = sinkable && SinkableSlotRange(c, max_slot);
+  });
+  return sinkable;
 }
 
 // ---------------------------------------------------------------------------
@@ -320,18 +314,12 @@ Status PlannerImpl::CollectFreeRefs(
     out->push_back(&e);
     return Status::OK();
   }
-  for (const auto& a : e.args) {
-    MTB_RETURN_IF_ERROR(CollectFreeRefs(*a, chain, out));
-  }
-  if (e.case_operand) {
-    MTB_RETURN_IF_ERROR(CollectFreeRefs(*e.case_operand, chain, out));
-  }
-  if (e.else_expr) {
-    MTB_RETURN_IF_ERROR(CollectFreeRefs(*e.else_expr, chain, out));
-  }
-  if (e.subquery) {
-    MTB_RETURN_IF_ERROR(CollectFreeRefsSelect(*e.subquery, chain, out));
-  }
+  Status st;
+  sql::ForEachExprChild(e, [&](const sql::Expr& c) {
+    if (st.ok()) st = CollectFreeRefs(c, chain, out);
+  });
+  MTB_RETURN_IF_ERROR(st);
+  if (e.subquery) return CollectFreeRefsSelect(*e.subquery, chain, out);
   return Status::OK();
 }
 
@@ -351,28 +339,10 @@ Status PlannerImpl::CollectFreeRefsSelect(
     if (!item.alias.empty()) scope_cols.push_back({"", item.alias});
   }
   chain->push_back(&scope_cols);
-  Status st = Status::OK();
-  auto walk = [&](const sql::Expr& e) {
+  Status st;
+  sql::ForEachClauseExpr(s, [&](const sql::Expr& e) {
     if (st.ok()) st = CollectFreeRefs(e, chain, out);
-  };
-  for (const auto& item : s.items) {
-    if (item.expr->kind != sql::ExprKind::kStar) walk(*item.expr);
-  }
-  if (s.where) walk(*s.where);
-  for (const auto& g : s.group_by) walk(*g);
-  if (s.having) walk(*s.having);
-  for (const auto& o : s.order_by) walk(*o.expr);
-  std::vector<const sql::TableRef*> stack;
-  for (const auto& t : s.from) stack.push_back(t.get());
-  while (!stack.empty() && st.ok()) {
-    const sql::TableRef* t = stack.back();
-    stack.pop_back();
-    if (t->kind == sql::TableRef::Kind::kJoin) {
-      if (t->join_cond) walk(*t->join_cond);
-      stack.push_back(t->left.get());
-      stack.push_back(t->right.get());
-    }
-  }
+  });
   chain->pop_back();
   return st;
 }
@@ -413,19 +383,11 @@ Result<bool> PlannerImpl::SubqueriesRefLevel(
     MTB_ASSIGN_OR_RETURN(bool refs, SelectRefsLevel(*e.subquery, level_cols));
     if (refs) return true;
   }
-  for (const auto& a : e.args) {
-    MTB_ASSIGN_OR_RETURN(bool refs, SubqueriesRefLevel(*a, level_cols));
-    if (refs) return true;
-  }
-  if (e.case_operand) {
-    MTB_ASSIGN_OR_RETURN(bool refs, SubqueriesRefLevel(*e.case_operand, level_cols));
-    if (refs) return true;
-  }
-  if (e.else_expr) {
-    MTB_ASSIGN_OR_RETURN(bool refs, SubqueriesRefLevel(*e.else_expr, level_cols));
-    if (refs) return true;
-  }
-  return false;
+  Result<bool> refs = false;
+  sql::ForEachExprChild(e, [&](const sql::Expr& c) {
+    if (refs.ok() && !refs.value()) refs = SubqueriesRefLevel(c, level_cols);
+  });
+  return refs;
 }
 
 Result<bool> PlannerImpl::SelectRefsLevel(

@@ -164,14 +164,12 @@ bool IsComparisonOp(const std::string& op) {
 }
 
 bool ContainsColumnRef(const sql::Expr& e) {
-  if (e.kind == sql::ExprKind::kColumnRef) return true;
-  for (const auto& a : e.args) {
-    if (ContainsColumnRef(*a)) return true;
-  }
-  if (e.case_operand && ContainsColumnRef(*e.case_operand)) return true;
-  if (e.else_expr && ContainsColumnRef(*e.else_expr)) return true;
-  if (e.subquery) return true;
-  return false;
+  if (e.kind == sql::ExprKind::kColumnRef || e.subquery) return true;
+  bool found = false;
+  sql::ForEachExprChild(e, [&found](const sql::Expr& c) {
+    found = found || ContainsColumnRef(c);
+  });
+  return found;
 }
 
 bool IsTtidColRef(const sql::Expr& e) {
@@ -476,8 +474,8 @@ class InvariantChecker {
       }
     }
 
-    CheckExpr(*e.args[0], scope, pairs);
-    CheckExpr(*e.args[1], scope, pairs);
+    sql::ForEachExprChild(
+        e, [&](const sql::Expr& c) { CheckExpr(c, scope, pairs); });
   }
 
   void CheckInSubquery(const sql::Expr& e, const Scope* scope,
@@ -508,7 +506,8 @@ class InvariantChecker {
         }
       }
     }
-    for (const auto& a : e.args) CheckExpr(*a, scope, pairs);
+    sql::ForEachExprChild(
+        e, [&](const sql::Expr& c) { CheckExpr(c, scope, pairs); });
     CheckSelect(*e.subquery, scope, /*top_level=*/false);
   }
 
@@ -540,9 +539,7 @@ class InvariantChecker {
           CheckComparison(e, scope, pairs);
           return;
         }
-        CheckExpr(*e.args[0], scope, pairs);
-        CheckExpr(*e.args[1], scope, pairs);
-        return;
+        break;  // generic descent below
       }
       case sql::ExprKind::kInSubquery:
         CheckInSubquery(e, scope, pairs);
@@ -584,9 +581,8 @@ class InvariantChecker {
       default:
         break;
     }
-    for (const auto& a : e.args) CheckExpr(*a, scope, pairs);
-    if (e.case_operand) CheckExpr(*e.case_operand, scope, pairs);
-    if (e.else_expr) CheckExpr(*e.else_expr, scope, pairs);
+    sql::ForEachExprChild(
+        e, [&](const sql::Expr& c) { CheckExpr(c, scope, pairs); });
     if (e.subquery) CheckSelect(*e.subquery, scope, /*top_level=*/false);
   }
 
@@ -642,7 +638,6 @@ class InvariantChecker {
       const sql::TableRef* left_join = nullptr;
     };
     std::vector<TsRef> ts_refs;
-    std::vector<const sql::TableRef*> join_nodes;
 
     struct StackEntry {
       const sql::TableRef* t;
@@ -669,7 +664,6 @@ class InvariantChecker {
           scope.relations.emplace_back(t->BindingName(), nullptr);
           break;
         case sql::TableRef::Kind::kJoin: {
-          join_nodes.push_back(t);
           stack.insert(stack.begin() + static_cast<long>(si) + 1,
                        {t->left.get(), owner});
           const sql::TableRef* right_owner =
@@ -693,14 +687,8 @@ class InvariantChecker {
     if (top_level) CheckProjectionLeak(sel, scope);
 
     PairSet no_pairs;
-    for (const auto& item : sel.items) CheckExpr(*item.expr, &scope, no_pairs);
-    if (sel.where) CheckExpr(*sel.where, &scope, no_pairs);
-    for (const auto& g : sel.group_by) CheckExpr(*g, &scope, no_pairs);
-    if (sel.having) CheckExpr(*sel.having, &scope, no_pairs);
-    for (const auto& o : sel.order_by) CheckExpr(*o.expr, &scope, no_pairs);
-    for (const sql::TableRef* j : join_nodes) {
-      if (j->join_cond) CheckExpr(*j->join_cond, &scope, no_pairs);
-    }
+    sql::ForEachClauseExpr(
+        sel, [&](const sql::Expr& e) { CheckExpr(e, &scope, no_pairs); });
   }
 
   /// Validate the write wrapper fromU(toU(value, C), owner) used by

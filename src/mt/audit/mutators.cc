@@ -74,68 +74,36 @@ class MutatingWalk {
 
   int Run(sql::Stmt* stmt) {
     count_ = 0;
-    switch (stmt->kind) {
-      case sql::Stmt::Kind::kSelect:
-        VisitSelect(stmt->select.get());
-        break;
-      case sql::Stmt::Kind::kCreateView:
-        VisitSelect(stmt->create_view->select.get());
-        break;
-      case sql::Stmt::Kind::kInsert:
-        for (auto& row : stmt->insert->rows) {
-          for (auto& e : row) VisitExpr(e);
-        }
-        if (stmt->insert->select) VisitSelect(stmt->insert->select.get());
-        break;
-      case sql::Stmt::Kind::kUpdate:
-        for (auto& [col, value] : stmt->update->assignments) VisitExpr(value);
-        Clause(&stmt->update->where);
-        break;
-      case sql::Stmt::Kind::kDelete:
-        Clause(&stmt->del->where);
-        break;
-      default:
-        break;
+    if (stmt->kind == sql::Stmt::Kind::kCreateView) {
+      Visit(*stmt->create_view->select);
+      return count_;
     }
+    if (stmt->kind == sql::Stmt::Kind::kUpdate) Clause(&stmt->update->where);
+    if (stmt->kind == sql::Stmt::Kind::kDelete) Clause(&stmt->del->where);
+    sql::ForEachStmtExpr(*stmt, [this](auto& node) { Visit(node); });
     return count_;
   }
 
  private:
   void Clause(sql::ExprPtr* clause) {
     if (mutate_clause) count_ += mutate_clause(clause);
-    if (*clause) VisitExpr(*clause);
   }
 
-  void VisitExpr(sql::ExprPtr& e) {
-    for (auto& a : e->args) VisitExpr(a);
-    if (e->case_operand) VisitExpr(e->case_operand);
-    if (e->else_expr) VisitExpr(e->else_expr);
-    if (e->subquery) VisitSelect(e->subquery.get());
+  void Visit(sql::ExprPtr& e) {
+    sql::ForEachExprChild(*e, [this](sql::ExprPtr& c) { Visit(c); });
+    if (e->subquery) Visit(*e->subquery);
     if (mutate_expr) count_ += mutate_expr(e);
   }
 
-  void VisitSelect(sql::SelectStmt* sel) {
-    for (auto& t : sel->from) VisitTref(t.get());
-    for (auto& item : sel->items) VisitExpr(item.expr);
-    Clause(&sel->where);
-    for (auto& g : sel->group_by) VisitExpr(g);
-    Clause(&sel->having);
-    for (auto& o : sel->order_by) VisitExpr(o.expr);
-  }
-
-  void VisitTref(sql::TableRef* t) {
-    switch (t->kind) {
-      case sql::TableRef::Kind::kBase:
-        break;
-      case sql::TableRef::Kind::kSubquery:
-        VisitSelect(t->subquery.get());
-        break;
-      case sql::TableRef::Kind::kJoin:
-        VisitTref(t->left.get());
-        VisitTref(t->right.get());
-        Clause(&t->join_cond);
-        break;
-    }
+  /// The nullable clauses first, then every expression left standing.
+  void Visit(sql::SelectStmt& sel) {
+    Clause(&sel.where);
+    Clause(&sel.having);
+    sql::ForEachTableRef(sel, [this](sql::TableRef& t) {
+      if (t.kind == sql::TableRef::Kind::kJoin) Clause(&t.join_cond);
+      if (t.subquery) Visit(*t.subquery);
+    });
+    sql::ForEachClauseExpr(sel, [this](sql::ExprPtr& e) { Visit(e); });
   }
 
   int count_ = 0;
@@ -239,32 +207,17 @@ int LeakTtidThroughStar(sql::Stmt* stmt, const MTSchema* schema) {
     sel = stmt->create_view->select.get();
   }
   if (sel == nullptr) return 0;
-  std::function<const sql::TableRef*(const sql::TableRef*)> find_ts =
-      [&](const sql::TableRef* t) -> const sql::TableRef* {
-    switch (t->kind) {
-      case sql::TableRef::Kind::kBase: {
-        const MTTableInfo* info = schema->FindTable(t->name);
-        return info != nullptr && info->tenant_specific() ? t : nullptr;
-      }
-      case sql::TableRef::Kind::kSubquery:
-        return nullptr;
-      case sql::TableRef::Kind::kJoin: {
-        const sql::TableRef* hit = find_ts(t->left.get());
-        return hit != nullptr ? hit : find_ts(t->right.get());
-      }
-    }
-    return nullptr;
-  };
-  for (const auto& t : sel->from) {
-    const sql::TableRef* ts = find_ts(t.get());
-    if (ts != nullptr) {
-      sql::SelectItem item;
-      item.expr = sql::Col(ts->BindingName(), kTtidColumn);
-      sel->items.push_back(std::move(item));
-      return 1;
-    }
-  }
-  return 0;
+  const sql::TableRef* ts = nullptr;
+  sql::ForEachTableRef(*sel, [&](const sql::TableRef& t) {
+    if (ts != nullptr || t.kind != sql::TableRef::Kind::kBase) return;
+    const MTTableInfo* info = schema->FindTable(t.name);
+    if (info != nullptr && info->tenant_specific()) ts = &t;
+  });
+  if (ts == nullptr) return 0;
+  sql::SelectItem item;
+  item.expr = sql::Col(ts->BindingName(), kTtidColumn);
+  sel->items.push_back(std::move(item));
+  return 1;
 }
 
 }  // namespace audit

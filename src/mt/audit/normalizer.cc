@@ -1,8 +1,8 @@
 #include "mt/audit/normalizer.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "common/str_util.h"
@@ -61,12 +61,11 @@ bool IsConstExpr(const sql::Expr& e) {
       e.kind == sql::ExprKind::kParam || e.kind == sql::ExprKind::kStar) {
     return false;
   }
-  for (const auto& a : e.args) {
-    if (!IsConstExpr(*a)) return false;
-  }
-  if (e.case_operand && !IsConstExpr(*e.case_operand)) return false;
-  if (e.else_expr && !IsConstExpr(*e.else_expr)) return false;
-  return true;
+  bool is_const = true;
+  sql::ForEachExprChild(e, [&is_const](const sql::Expr& c) {
+    is_const = is_const && IsConstExpr(c);
+  });
+  return is_const;
 }
 
 bool IsTtidColRef(const sql::Expr& e) {
@@ -80,24 +79,10 @@ class Normalizer {
       : reg_(reg), options_(options) {}
 
   void NormalizeSelect(sql::SelectStmt* sel) {
-    std::vector<sql::TableRef*> stack;
-    for (auto& t : sel->from) stack.push_back(t.get());
-    while (!stack.empty()) {
-      sql::TableRef* t = stack.back();
-      stack.pop_back();
-      switch (t->kind) {
-        case sql::TableRef::Kind::kBase:
-          break;
-        case sql::TableRef::Kind::kSubquery:
-          NormalizeSelect(t->subquery.get());
-          break;
-        case sql::TableRef::Kind::kJoin:
-          NormalizeClause(&t->join_cond);
-          stack.push_back(t->left.get());
-          stack.push_back(t->right.get());
-          break;
-      }
-    }
+    sql::ForEachTableRef(*sel, [this](sql::TableRef& t) {
+      if (t.subquery) NormalizeSelect(t.subquery.get());
+      if (t.kind == sql::TableRef::Kind::kJoin) NormalizeClause(&t.join_cond);
+    });
     for (auto& item : sel->items) {
       NormalizeExpr(&item.expr);
       // A wrapper elision can leave `attr AS attr`; the un-aliased and the
@@ -320,9 +305,7 @@ class Normalizer {
   void NormalizeExpr(sql::ExprPtr* p) {
     sql::Expr* e = p->get();
     if (e->subquery) NormalizeSelect(e->subquery.get());
-    for (auto& a : e->args) NormalizeExpr(&a);
-    if (e->case_operand) NormalizeExpr(&e->case_operand);
-    if (e->else_expr) NormalizeExpr(&e->else_expr);
+    sql::ForEachExprChild(*e, [this](sql::ExprPtr& c) { NormalizeExpr(&c); });
 
     // o1 legality: elide the whole wrapper (D' = {C} makes it the identity).
     if (options_.elide_wrappers) {
@@ -385,38 +368,36 @@ class Normalizer {
 
 // --- divergence classification ---------------------------------------------
 
-void CollectAllSelects(const sql::Expr& e,
-                       std::vector<const sql::SelectStmt*>* out);
-
 void CollectAllSelects(const sql::SelectStmt& sel,
-                       std::vector<const sql::SelectStmt*>* out) {
-  out->push_back(&sel);
-  std::vector<const sql::TableRef*> stack;
-  for (const auto& t : sel.from) stack.push_back(t.get());
-  while (!stack.empty()) {
-    const sql::TableRef* t = stack.back();
-    stack.pop_back();
-    if (t->kind == sql::TableRef::Kind::kSubquery) {
-      CollectAllSelects(*t->subquery, out);
-    } else if (t->kind == sql::TableRef::Kind::kJoin) {
-      if (t->join_cond) CollectAllSelects(*t->join_cond, out);
-      stack.push_back(t->left.get());
-      stack.push_back(t->right.get());
-    }
-  }
-  for (const auto& item : sel.items) CollectAllSelects(*item.expr, out);
-  if (sel.where) CollectAllSelects(*sel.where, out);
-  for (const auto& g : sel.group_by) CollectAllSelects(*g, out);
-  if (sel.having) CollectAllSelects(*sel.having, out);
-  for (const auto& o : sel.order_by) CollectAllSelects(*o.expr, out);
-}
+                       std::vector<const sql::SelectStmt*>* out);
 
 void CollectAllSelects(const sql::Expr& e,
                        std::vector<const sql::SelectStmt*>* out) {
   if (e.subquery) CollectAllSelects(*e.subquery, out);
-  for (const auto& a : e.args) CollectAllSelects(*a, out);
-  if (e.case_operand) CollectAllSelects(*e.case_operand, out);
-  if (e.else_expr) CollectAllSelects(*e.else_expr, out);
+  sql::ForEachExprChild(
+      e, [out](const sql::Expr& c) { CollectAllSelects(c, out); });
+}
+
+void CollectAllSelects(const sql::SelectStmt& sel,
+                       std::vector<const sql::SelectStmt*>* out) {
+  out->push_back(&sel);
+  sql::ForEachTableRef(sel, [out](const sql::TableRef& t) {
+    if (t.subquery) CollectAllSelects(*t.subquery, out);
+  });
+  sql::ForEachClauseExpr(
+      sel, [out](const sql::Expr& e) { CollectAllSelects(e, out); });
+}
+
+bool HasConversionCall(const sql::Expr& e, const ConversionRegistry* reg) {
+  if (e.kind == sql::ExprKind::kFunction &&
+      reg->IsConversionFunction(e.fname)) {
+    return true;
+  }
+  bool found = false;
+  sql::ForEachExprChild(e, [&](const sql::Expr& c) {
+    found = found || HasConversionCall(c, reg);
+  });
+  return found;
 }
 
 bool HasConversionCall(const sql::SelectStmt& sel,
@@ -424,35 +405,10 @@ bool HasConversionCall(const sql::SelectStmt& sel,
   std::vector<const sql::SelectStmt*> selects;
   CollectAllSelects(sel, &selects);
   bool found = false;
-  std::function<void(const sql::Expr&)> walk = [&](const sql::Expr& e) {
-    if (found) return;
-    if (e.kind == sql::ExprKind::kFunction &&
-        reg->IsConversionFunction(e.fname)) {
-      found = true;
-      return;
-    }
-    for (const auto& a : e.args) walk(*a);
-    if (e.case_operand) walk(*e.case_operand);
-    if (e.else_expr) walk(*e.else_expr);
-  };
   for (const sql::SelectStmt* s : selects) {
-    for (const auto& item : s->items) walk(*item.expr);
-    if (s->where) walk(*s->where);
-    for (const auto& g : s->group_by) walk(*g);
-    if (s->having) walk(*s->having);
-    for (const auto& o : s->order_by) walk(*o.expr);
-    std::vector<const sql::TableRef*> stack;
-    for (const auto& t : s->from) stack.push_back(t.get());
-    while (!stack.empty()) {
-      const sql::TableRef* t = stack.back();
-      stack.pop_back();
-      if (t->kind == sql::TableRef::Kind::kJoin) {
-        if (t->join_cond) walk(*t->join_cond);
-        stack.push_back(t->left.get());
-        stack.push_back(t->right.get());
-      }
-    }
-    if (found) break;
+    sql::ForEachClauseExpr(*s, [&](const sql::Expr& e) {
+      found = found || HasConversionCall(e, reg);
+    });
   }
   return found;
 }
@@ -464,6 +420,54 @@ bool IsInlineMetaTable(const std::string& name,
     if (EqualsIgnoreCase(name, p.inline_spec.meta_table)) return true;
   }
   return false;
+}
+
+void FlattenAnd(const sql::Expr& e, std::vector<const sql::Expr*>* out) {
+  if (e.kind == sql::ExprKind::kBinary && e.op == "AND") {
+    FlattenAnd(*e.args[0], out);
+    FlattenAnd(*e.args[1], out);
+    return;
+  }
+  out->push_back(&e);
+}
+
+/// Every o4 meta join `__itN` of `sel` is keyed by a WHERE conjunct
+/// `__itN.<tenant key> = X.ttid` whose X is not on the nullable side of a
+/// LEFT JOIN. A meta join keyed on a nullable table's ttid drops the
+/// null-extended rows, so it is no equivalence-preserving inlining.
+bool MetaJoinsKeyedOnPreservedRows(const sql::SelectStmt& sel) {
+  std::set<std::string> nullable;
+  std::vector<std::string> meta_joins;
+  sql::ForEachTableRef(sel, [&](const sql::TableRef& t) {
+    if (t.kind == sql::TableRef::Kind::kBase && StartsWith(t.alias, "__it")) {
+      meta_joins.push_back(t.alias);
+    }
+    if (t.kind == sql::TableRef::Kind::kJoin &&
+        t.join_type == sql::JoinType::kLeft) {
+      sql::ForEachTableRef(*t.right, [&nullable](const sql::TableRef& r) {
+        nullable.insert(ToLowerCopy(r.BindingName()));
+      });
+    }
+  });
+  std::vector<const sql::Expr*> conjuncts;
+  if (sel.where) FlattenAnd(*sel.where, &conjuncts);
+  for (const std::string& alias : meta_joins) {
+    bool keyed = false;
+    for (const sql::Expr* c : conjuncts) {
+      if (c->kind != sql::ExprKind::kBinary || c->op != "=") continue;
+      for (size_t side = 0; side < 2; ++side) {
+        const sql::Expr& meta = *c->args[side];
+        const sql::Expr& key = *c->args[1 - side];
+        if (meta.kind == sql::ExprKind::kColumnRef &&
+            EqualsIgnoreCase(meta.qualifier, alias) && IsTtidColRef(key)) {
+          if (nullable.count(ToLowerCopy(key.qualifier)) != 0) return false;
+          keyed = true;
+        }
+      }
+    }
+    if (!keyed) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -487,27 +491,17 @@ EquivalenceCode ClassifyDivergence(const sql::SelectStmt& optimized,
   bool part = false;
   bool inlined = false;
   for (const sql::SelectStmt* s : selects) {
-    std::vector<const sql::TableRef*> stack;
-    for (const auto& t : s->from) stack.push_back(t.get());
-    while (!stack.empty()) {
-      const sql::TableRef* t = stack.back();
-      stack.pop_back();
-      switch (t->kind) {
-        case sql::TableRef::Kind::kBase:
-          if (StartsWith(t->alias, "__it") || StartsWith(t->alias, "__im") ||
-              IsInlineMetaTable(t->name, conversions)) {
-            inlined = true;
-          }
-          break;
-        case sql::TableRef::Kind::kSubquery:
-          if (t->alias == "__part") part = true;
-          break;
-        case sql::TableRef::Kind::kJoin:
-          stack.push_back(t->left.get());
-          stack.push_back(t->right.get());
-          break;
+    if (!MetaJoinsKeyedOnPreservedRows(*s)) return EquivalenceCode::kUnknown;
+    sql::ForEachTableRef(*s, [&](const sql::TableRef& t) {
+      if (t.kind == sql::TableRef::Kind::kBase &&
+          (StartsWith(t.alias, "__it") || StartsWith(t.alias, "__im") ||
+           IsInlineMetaTable(t.name, conversions))) {
+        inlined = true;
       }
-    }
+      if (t.kind == sql::TableRef::Kind::kSubquery && t.alias == "__part") {
+        part = true;
+      }
+    });
   }
   if (inlined) return EquivalenceCode::kDivergeConversionInline;
   if (part) return EquivalenceCode::kDivergeAggDistribution;

@@ -59,7 +59,9 @@ std::string NormalizeSelectText(const sql::SelectStmt& sel,
 /// Name the optimizer pass whose artifacts explain why an optimized query
 /// does not normalize to its canonical form: __it/__im meta joins and
 /// meta-lookup sub-queries (o4), the __part partial-aggregation sub-query
-/// (o3), residual conversion calls (o2 push-up), else kUnknown.
+/// (o3), residual conversion calls (o2 push-up), else kUnknown. A meta join
+/// keyed on the ttid of a table on a LEFT JOIN's nullable side (or on no
+/// ttid at all) is kUnknown: it drops the null-extended rows.
 EquivalenceCode ClassifyDivergence(const sql::SelectStmt& optimized,
                                    const ConversionRegistry* conversions);
 

@@ -120,28 +120,21 @@ class TypeChecker {
   SelectResult CheckSelect(const sql::SelectStmt& sel, const Scope* parent) {
     Scope scope;
     scope.parent = parent;
-    std::vector<const sql::TableRef*> stack;
     std::vector<const sql::TableRef*> join_nodes;
-    for (const auto& t : sel.from) stack.push_back(t.get());
-    for (size_t i = 0; i < stack.size(); ++i) {
-      const sql::TableRef* t = stack[i];
-      switch (t->kind) {
+    sql::ForEachTableRef(sel, [&](const sql::TableRef& t) {
+      switch (t.kind) {
         case sql::TableRef::Kind::kBase:
-          scope.relations.emplace_back(t->BindingName(),
-                                       BaseRelCols(t->name));
+          scope.relations.emplace_back(t.BindingName(), BaseRelCols(t.name));
           break;
-        case sql::TableRef::Kind::kSubquery: {
-          SelectResult sub = CheckSelect(*t->subquery, parent);
-          scope.relations.emplace_back(t->BindingName(), std::move(sub.out));
+        case sql::TableRef::Kind::kSubquery:
+          scope.relations.emplace_back(t.BindingName(),
+                                       CheckSelect(*t.subquery, parent).out);
           break;
-        }
         case sql::TableRef::Kind::kJoin:
-          join_nodes.push_back(t);
-          stack.insert(stack.begin() + static_cast<long>(i) + 1,
-                       {t->left.get(), t->right.get()});
+          join_nodes.push_back(&t);
           break;
       }
-    }
+    });
 
     for (const sql::TableRef* j : join_nodes) {
       if (j->join_cond) Infer(*j->join_cond, &scope);

@@ -76,15 +76,12 @@ bool ContainsConversionCall(const sql::Expr& e, const ConversionRegistry* reg) {
   if (e.kind == sql::ExprKind::kFunction && reg->IsConversionFunction(e.fname)) {
     return true;
   }
-  for (const auto& a : e.args) {
-    if (ContainsConversionCall(*a, reg)) return true;
-  }
-  if (e.case_operand && ContainsConversionCall(*e.case_operand, reg)) {
-    return true;
-  }
-  if (e.else_expr && ContainsConversionCall(*e.else_expr, reg)) return true;
   // Sub-queries are optimized separately.
-  return false;
+  bool found = false;
+  sql::ForEachExprChild(e, [&](const sql::Expr& c) {
+    found = found || ContainsConversionCall(c, reg);
+  });
+  return found;
 }
 
 /// Constant w.r.t. the query: no column references, sub-queries or params.
@@ -93,42 +90,27 @@ bool IsConstExpr(const sql::Expr& e) {
       e.kind == sql::ExprKind::kParam || e.kind == sql::ExprKind::kStar) {
     return false;
   }
-  for (const auto& a : e.args) {
-    if (!IsConstExpr(*a)) return false;
-  }
-  if (e.case_operand && !IsConstExpr(*e.case_operand)) return false;
-  if (e.else_expr && !IsConstExpr(*e.else_expr)) return false;
-  return true;
+  bool is_const = true;
+  sql::ForEachExprChild(e, [&is_const](const sql::Expr& c) {
+    is_const = is_const && IsConstExpr(c);
+  });
+  return is_const;
 }
 
 void CollectSubqueries(sql::Expr* e, std::vector<sql::SelectStmt*>* out) {
   if (e->subquery) out->push_back(e->subquery.get());
-  for (auto& a : e->args) CollectSubqueries(a.get(), out);
-  if (e->case_operand) CollectSubqueries(e->case_operand.get(), out);
-  if (e->else_expr) CollectSubqueries(e->else_expr.get(), out);
+  sql::ForEachExprChild(
+      *e, [out](sql::ExprPtr& c) { CollectSubqueries(c.get(), out); });
 }
 
 /// All sub-selects directly reachable from this select's clauses and FROM.
 void DirectChildSelects(sql::SelectStmt* sel,
                         std::vector<sql::SelectStmt*>* out) {
-  std::vector<sql::TableRef*> stack;
-  for (auto& t : sel->from) stack.push_back(t.get());
-  while (!stack.empty()) {
-    sql::TableRef* t = stack.back();
-    stack.pop_back();
-    if (t->kind == sql::TableRef::Kind::kSubquery) {
-      out->push_back(t->subquery.get());
-    } else if (t->kind == sql::TableRef::Kind::kJoin) {
-      if (t->join_cond) CollectSubqueries(t->join_cond.get(), out);
-      stack.push_back(t->left.get());
-      stack.push_back(t->right.get());
-    }
-  }
-  for (auto& item : sel->items) CollectSubqueries(item.expr.get(), out);
-  if (sel->where) CollectSubqueries(sel->where.get(), out);
-  for (auto& g : sel->group_by) CollectSubqueries(g.get(), out);
-  if (sel->having) CollectSubqueries(sel->having.get(), out);
-  for (auto& o : sel->order_by) CollectSubqueries(o.expr.get(), out);
+  sql::ForEachTableRef(*sel, [out](sql::TableRef& t) {
+    if (t.subquery) out->push_back(t.subquery.get());
+  });
+  sql::ForEachClauseExpr(
+      *sel, [out](sql::ExprPtr& e) { CollectSubqueries(e.get(), out); });
 }
 
 sql::ExprPtr MakeAgg(const std::string& fn, sql::ExprPtr arg) {
@@ -164,17 +146,9 @@ class PushUpPass {
     for (auto* c : children) Run(c);
     if (sel->where) Transform(&sel->where);
     if (sel->having) Transform(&sel->having);
-    std::vector<sql::TableRef*> stack;
-    for (auto& t : sel->from) stack.push_back(t.get());
-    while (!stack.empty()) {
-      sql::TableRef* t = stack.back();
-      stack.pop_back();
-      if (t->kind == sql::TableRef::Kind::kJoin) {
-        if (t->join_cond) Transform(&t->join_cond);
-        stack.push_back(t->left.get());
-        stack.push_back(t->right.get());
-      }
-    }
+    sql::ForEachTableRef(*sel, [this](sql::TableRef& t) {
+      if (t.join_cond) Transform(&t.join_cond);
+    });
   }
 
  private:
@@ -270,9 +244,7 @@ class PushUpPass {
       }
       return;
     }
-    for (auto& a : x.args) Transform(&a);
-    if (x.case_operand) Transform(&x.case_operand);
-    if (x.else_expr) Transform(&x.else_expr);
+    sql::ForEachExprChild(x, [this](sql::ExprPtr& c) { Transform(&c); });
   }
 
   const ConversionRegistry* reg_;
@@ -425,26 +397,16 @@ Shape AnalyzeShape(const sql::Expr& e, const ConversionRegistry* reg) {
   return s;
 }
 
-/// Clone the expression with every full conversion wrapper replaced by the
-/// raw attribute underneath (values stay in tenant format).
-sql::ExprPtr StripWrappers(const sql::Expr& e, const ConversionRegistry* reg) {
+/// Replace every full conversion wrapper by the raw attribute underneath
+/// (values stay in tenant format).
+void StripWrappers(sql::ExprPtr* e, const ConversionRegistry* reg) {
   WrapMatch m;
-  if (MatchWrapped(const_cast<sql::Expr*>(&e), reg, &m)) {
-    return m.inner->Clone();
+  if (MatchWrapped(e->get(), reg, &m)) {
+    *e = m.inner->Clone();
+    return;
   }
-  auto c = e.Clone();
-  std::function<void(sql::ExprPtr*)> walk = [&](sql::ExprPtr* p) {
-    WrapMatch mm;
-    if (MatchWrapped(p->get(), reg, &mm)) {
-      *p = mm.inner->Clone();
-      return;
-    }
-    for (auto& a : (*p)->args) walk(&a);
-    if ((*p)->case_operand) walk(&(*p)->case_operand);
-    if ((*p)->else_expr) walk(&(*p)->else_expr);
-  };
-  walk(&c);
-  return c;
+  sql::ForEachExprChild(
+      **e, [reg](sql::ExprPtr& c) { StripWrappers(&c, reg); });
 }
 
 void ReplaceByText(
@@ -455,10 +417,9 @@ void ReplaceByText(
     *e = it->second();
     return;
   }
-  for (auto& a : (*e)->args) ReplaceByText(&a, repl);
-  if ((*e)->case_operand) ReplaceByText(&(*e)->case_operand, repl);
-  if ((*e)->else_expr) ReplaceByText(&(*e)->else_expr, repl);
   // Sub-queries keep their own structure.
+  sql::ForEachExprChild(
+      **e, [&repl](sql::ExprPtr& c) { ReplaceByText(&c, repl); });
 }
 
 bool IsAggFuncName(const std::string& f) {
@@ -472,9 +433,18 @@ void CollectAggCallsLocal(sql::Expr* e, std::vector<sql::Expr*>* out) {
     out->push_back(e);
     return;
   }
-  for (auto& a : e->args) CollectAggCallsLocal(a.get(), out);
-  if (e->case_operand) CollectAggCallsLocal(e->case_operand.get(), out);
-  if (e->else_expr) CollectAggCallsLocal(e->else_expr.get(), out);
+  sql::ForEachExprChild(
+      *e, [out](sql::ExprPtr& c) { CollectAggCallsLocal(c.get(), out); });
+}
+
+bool ContainsAggCall(const sql::Expr& e) {
+  if (e.kind == sql::ExprKind::kFunction && IsAggFuncName(e.fname)) {
+    return true;
+  }
+  bool found = false;
+  sql::ForEachExprChild(
+      e, [&found](const sql::Expr& c) { found = found || ContainsAggCall(c); });
+  return found;
 }
 
 }  // namespace
@@ -550,7 +520,8 @@ Status Optimizer::DistributeAggregations(sql::SelectStmt* sel) {
         return Status::OK();  // conversions from several owners: skip
       }
       any_distributable = true;
-      p.stripped = StripWrappers(*call->args[0], conversions_);
+      p.stripped = call->args[0]->Clone();
+      StripWrappers(&p.stripped, conversions_);
     }
     by_text[p.text] = plans.size();
     plans.push_back(std::move(p));
@@ -778,19 +749,19 @@ Status Optimizer::InlineConversions(sql::SelectStmt* sel) {
   std::vector<sql::ExprPtr> extra_group_cols;
   std::set<std::string> extra_group_texts;
   bool can_join = !sel->from.empty();
-
-  std::function<bool(const sql::Expr&)> contains_agg =
-      [&](const sql::Expr& e) {
-        if (e.kind == sql::ExprKind::kFunction && IsAggFuncName(e.fname)) {
-          return true;
-        }
-        for (const auto& a : e.args) {
-          if (contains_agg(*a)) return true;
-        }
-        if (e.case_operand && contains_agg(*e.case_operand)) return true;
-        if (e.else_expr && contains_agg(*e.else_expr)) return true;
-        return false;
-      };
+  // Binding names on the nullable side of a LEFT JOIN. A meta join keyed on
+  // their ttid would sit in WHERE and drop the null-extended rows, so their
+  // conversions take the lookup sub-query, which yields NULL for a NULL ttid.
+  std::set<std::string> nullable;
+  sql::ForEachTableRef(*sel, [&nullable](const sql::TableRef& j) {
+    if (j.kind != sql::TableRef::Kind::kJoin ||
+        j.join_type != sql::JoinType::kLeft) {
+      return;
+    }
+    sql::ForEachTableRef(*j.right, [&nullable](const sql::TableRef& t) {
+      nullable.insert(ToLowerCopy(t.BindingName()));
+    });
+  });
 
   std::function<void(sql::ExprPtr*)> walk = [&](sql::ExprPtr* e) {
     sql::Expr& x = **e;
@@ -806,7 +777,8 @@ Status Optimizer::InlineConversions(sql::SelectStmt* sel) {
       sql::Expr* tenant_arg = x.args[1].get();
       sql::ExprPtr value = std::move(x.args[0]);
       sql::ExprPtr replacement;
-      if (tenant_arg->kind == sql::ExprKind::kColumnRef && can_join) {
+      if (tenant_arg->kind == sql::ExprKind::kColumnRef && can_join &&
+          nullable.count(ToLowerCopy(tenant_arg->qualifier)) == 0) {
         // Join the meta tables once per (owner expr, pair) and read the
         // conversion data from the joined row (paper Listing 17).
         std::string key = pair->name + "|" + sql::PrintExpr(*tenant_arg);
@@ -831,7 +803,7 @@ Status Optimizer::InlineConversions(sql::SelectStmt* sel) {
               "=", sql::Col(ta, spec.tenant_fk), sql::Col(ma, spec.meta_key)));
           it = meta_alias.emplace(key, ma).first;
         }
-        if (contains_agg(*value) && !sel->group_by.empty()) {
+        if (ContainsAggCall(*value) && !sel->group_by.empty()) {
           sql::ExprPtr meta_col = sql::Col(it->second, col);
           if (extra_group_texts.insert(sql::PrintExpr(*meta_col)).second) {
             extra_group_cols.push_back(meta_col->Clone());
@@ -847,15 +819,12 @@ Status Optimizer::InlineConversions(sql::SelectStmt* sel) {
             spec, is_to, std::move(value),
             MakeMetaLookupSubquery(spec, col, x.args[1]->Clone()));
       }
+      // The value may itself contain conversion calls (the inner toU),
+      // walked below as a child of the replacement.
       *e = std::move(replacement);
-      // The value may itself contain conversion calls (the inner toU).
-      for (auto& a : (*e)->args) walk(&a);
-      return;
     }
-    for (auto& a : x.args) walk(&a);
-    if (x.case_operand) walk(&x.case_operand);
-    if (x.else_expr) walk(&x.else_expr);
     // Sub-queries already processed (children first).
+    sql::ForEachExprChild(**e, [&walk](sql::ExprPtr& c) { walk(&c); });
   };
 
   for (auto& item : sel->items) walk(&item.expr);

@@ -53,7 +53,9 @@ class Optimizer {
   /// o4: replace conversion UDF calls by their algebraic form, joining the
   /// conversion meta tables (paper Listing 17). Calls whose tenant argument
   /// is the client constant become uncorrelated scalar sub-queries (InitPlan,
-  /// evaluated once).
+  /// evaluated once). So do calls keyed on the ttid of a table on a LEFT
+  /// JOIN's nullable side, correlated: the meta join would sit in WHERE and
+  /// drop the null-extended rows, while the lookup yields NULL for them.
   Status InlineConversions(sql::SelectStmt* sel);
 
  private:

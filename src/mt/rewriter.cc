@@ -18,14 +18,13 @@ bool IsComparisonOp(const std::string& op) {
 /// True if the expression contains any column reference (used to decide
 /// whether a tenant-specific attribute is compared against a constant).
 bool ContainsColumnRef(const sql::Expr& e) {
-  if (e.kind == sql::ExprKind::kColumnRef) return true;
-  for (const auto& a : e.args) {
-    if (ContainsColumnRef(*a)) return true;
-  }
-  if (e.case_operand && ContainsColumnRef(*e.case_operand)) return true;
-  if (e.else_expr && ContainsColumnRef(*e.else_expr)) return true;
-  if (e.subquery) return true;  // conservatively treat sub-queries as refs
-  return false;
+  // Conservatively treat sub-queries as refs.
+  if (e.kind == sql::ExprKind::kColumnRef || e.subquery) return true;
+  bool found = false;
+  sql::ForEachExprChild(e, [&found](const sql::Expr& c) {
+    found = found || ContainsColumnRef(c);
+  });
+  return found;
 }
 
 }  // namespace
@@ -236,18 +235,12 @@ Status Rewriter::RewriteExpr(sql::ExprPtr* e, const LevelScope* scope) {
     case sql::ExprKind::kScalarSubquery:
       return RewriteSelect(x.subquery.get(), scope);
     default: {
-      for (auto& a : x.args) {
-        MTB_RETURN_IF_ERROR(RewriteExpr(&a, scope));
-      }
-      if (x.case_operand) {
-        MTB_RETURN_IF_ERROR(RewriteExpr(&x.case_operand, scope));
-      }
-      if (x.else_expr) {
-        MTB_RETURN_IF_ERROR(RewriteExpr(&x.else_expr, scope));
-      }
-      if (x.subquery) {
-        MTB_RETURN_IF_ERROR(RewriteSelect(x.subquery.get(), scope));
-      }
+      Status st;
+      sql::ForEachExprChild(x, [&](sql::ExprPtr& c) {
+        if (st.ok()) st = RewriteExpr(&c, scope);
+      });
+      MTB_RETURN_IF_ERROR(st);
+      if (x.subquery) return RewriteSelect(x.subquery.get(), scope);
       return Status::OK();
     }
   }
@@ -265,7 +258,6 @@ Status Rewriter::RewriteSelect(sql::SelectStmt* sel, const LevelScope* parent) {
     sql::TableRef* left_join = nullptr;  // null: D-filter goes to WHERE
   };
   std::vector<TsRef> ts_refs;
-  std::vector<sql::Expr**> join_conds_unused;
   std::vector<sql::TableRef*> join_nodes;
 
   struct StackEntry {

@@ -112,92 +112,52 @@ engine::StatementContext CompileContext(const engine::StatementContext& ctx,
   return compile;
 }
 
-void CollectTsTablesFromSelect(const sql::SelectStmt& sel,
-                               const MTSchema& schema,
-                               std::set<std::string>* out);
-
-void CollectTsTablesFromExpr(const sql::Expr& e, const MTSchema& schema,
-                             std::set<std::string>* out) {
-  if (e.subquery) CollectTsTablesFromSelect(*e.subquery, schema, out);
-  for (const auto& a : e.args) CollectTsTablesFromExpr(*a, schema, out);
-  if (e.case_operand) CollectTsTablesFromExpr(*e.case_operand, schema, out);
-  if (e.else_expr) CollectTsTablesFromExpr(*e.else_expr, schema, out);
-}
-
-void CollectTsTablesFromTref(const sql::TableRef& t, const MTSchema& schema,
-                             std::set<std::string>* out) {
-  switch (t.kind) {
-    case sql::TableRef::Kind::kBase: {
-      const MTTableInfo* info = schema.FindTable(t.name);
-      if (info != nullptr && info->tenant_specific()) {
-        out->insert(ToLowerCopy(t.name));
-      }
-      break;
-    }
-    case sql::TableRef::Kind::kSubquery:
-      CollectTsTablesFromSelect(*t.subquery, schema, out);
-      break;
-    case sql::TableRef::Kind::kJoin:
-      CollectTsTablesFromTref(*t.left, schema, out);
-      CollectTsTablesFromTref(*t.right, schema, out);
-      if (t.join_cond) CollectTsTablesFromExpr(*t.join_cond, schema, out);
-      break;
+void InsertIfTenantSpecific(const std::string& table, const MTSchema& schema,
+                            std::set<std::string>* out) {
+  const MTTableInfo* info = schema.FindTable(table);
+  if (info != nullptr && info->tenant_specific()) {
+    out->insert(ToLowerCopy(table));
   }
 }
 
-void CollectTsTablesFromSelect(const sql::SelectStmt& sel,
-                               const MTSchema& schema,
-                               std::set<std::string>* out) {
-  for (const auto& t : sel.from) CollectTsTablesFromTref(*t, schema, out);
-  for (const auto& item : sel.items) {
-    if (item.expr->kind != sql::ExprKind::kStar) {
-      CollectTsTablesFromExpr(*item.expr, schema, out);
+void CollectTsTablesIn(const sql::SelectStmt& sel, const MTSchema& schema,
+                       std::set<std::string>* out);
+
+void CollectTsTablesIn(const sql::Expr& e, const MTSchema& schema,
+                       std::set<std::string>* out) {
+  if (e.subquery) CollectTsTablesIn(*e.subquery, schema, out);
+  sql::ForEachExprChild(
+      e, [&](const sql::Expr& c) { CollectTsTablesIn(c, schema, out); });
+}
+
+void CollectTsTablesIn(const sql::SelectStmt& sel, const MTSchema& schema,
+                       std::set<std::string>* out) {
+  sql::ForEachTableRef(sel, [&](const sql::TableRef& t) {
+    if (t.kind == sql::TableRef::Kind::kBase) {
+      InsertIfTenantSpecific(t.name, schema, out);
     }
-  }
-  if (sel.where) CollectTsTablesFromExpr(*sel.where, schema, out);
-  for (const auto& g : sel.group_by) CollectTsTablesFromExpr(*g, schema, out);
-  if (sel.having) CollectTsTablesFromExpr(*sel.having, schema, out);
-  for (const auto& o : sel.order_by) {
-    CollectTsTablesFromExpr(*o.expr, schema, out);
-  }
+    if (t.subquery) CollectTsTablesIn(*t.subquery, schema, out);
+  });
+  sql::ForEachClauseExpr(
+      sel, [&](const sql::Expr& e) { CollectTsTablesIn(e, schema, out); });
 }
 
 }  // namespace
 
 void Session::CollectTsTables(const sql::Stmt& stmt,
                               std::vector<std::string>* out) const {
+  const MTSchema& schema = *mw_->schema();
   std::set<std::string> set;
-  switch (stmt.kind) {
-    case sql::Stmt::Kind::kSelect:
-      CollectTsTablesFromSelect(*stmt.select, *mw_->schema(), &set);
-      break;
-    case sql::Stmt::Kind::kInsert: {
-      const MTTableInfo* info = mw_->schema()->FindTable(stmt.insert->table);
-      if (info != nullptr && info->tenant_specific()) {
-        set.insert(ToLowerCopy(stmt.insert->table));
-      }
-      if (stmt.insert->select) {
-        CollectTsTablesFromSelect(*stmt.insert->select, *mw_->schema(), &set);
-      }
-      break;
-    }
-    case sql::Stmt::Kind::kUpdate: {
-      const MTTableInfo* info = mw_->schema()->FindTable(stmt.update->table);
-      if (info != nullptr && info->tenant_specific()) {
-        set.insert(ToLowerCopy(stmt.update->table));
-      }
-      break;
-    }
-    case sql::Stmt::Kind::kDelete: {
-      const MTTableInfo* info = mw_->schema()->FindTable(stmt.del->table);
-      if (info != nullptr && info->tenant_specific()) {
-        set.insert(ToLowerCopy(stmt.del->table));
-      }
-      break;
-    }
-    default:
-      break;
+  if (stmt.kind == sql::Stmt::Kind::kInsert) {
+    InsertIfTenantSpecific(stmt.insert->table, schema, &set);
+  } else if (stmt.kind == sql::Stmt::Kind::kUpdate) {
+    InsertIfTenantSpecific(stmt.update->table, schema, &set);
+  } else if (stmt.kind == sql::Stmt::Kind::kDelete) {
+    InsertIfTenantSpecific(stmt.del->table, schema, &set);
   }
+  // Every table a sub-query of the statement reads narrows D' too.
+  sql::ForEachStmtExpr(
+      stmt, [&](const auto& node) { CollectTsTablesIn(node, schema, &set); });
   out->assign(set.begin(), set.end());
 }
 

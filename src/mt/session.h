@@ -355,6 +355,9 @@ class Session {
   /// for this session under dataset D'.
   audit::AuditContext MakeAuditContext(
       const std::vector<int64_t>& dataset) const;
+  /// The tenant-specific tables the statement touches: a DML target and
+  /// every table any of its (sub-)queries reads. D' keeps the tenants that
+  /// granted READ on all of them.
   void CollectTsTables(const sql::Stmt& stmt,
                        std::vector<std::string>* out) const;
 

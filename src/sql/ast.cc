@@ -126,75 +126,25 @@ namespace {
 void MaxParam(const Expr& e, int* out);
 
 void MaxParam(const SelectStmt& s, int* out) {
-  for (const auto& item : s.items) MaxParam(*item.expr, out);
-  for (const auto& t : s.from) {
-    const TableRef* refs[] = {t.get()};
-    // Walk joins iteratively via a small stack (join trees nest left/right).
-    std::vector<const TableRef*> stack(refs, refs + 1);
-    while (!stack.empty()) {
-      const TableRef* r = stack.back();
-      stack.pop_back();
-      if (r->subquery) MaxParam(*r->subquery, out);
-      if (r->join_cond) MaxParam(*r->join_cond, out);
-      if (r->left) stack.push_back(r->left.get());
-      if (r->right) stack.push_back(r->right.get());
-    }
-  }
-  if (s.where) MaxParam(*s.where, out);
-  for (const auto& g : s.group_by) MaxParam(*g, out);
-  if (s.having) MaxParam(*s.having, out);
-  for (const auto& o : s.order_by) MaxParam(*o.expr, out);
+  ForEachTableRef(s, [out](const TableRef& t) {
+    if (t.subquery) MaxParam(*t.subquery, out);
+  });
+  ForEachClauseExpr(s, [out](const Expr& e) { MaxParam(e, out); });
 }
 
 void MaxParam(const Expr& e, int* out) {
   if (e.kind == ExprKind::kParam && e.param_index > *out) {
     *out = e.param_index;
   }
-  for (const auto& a : e.args) MaxParam(*a, out);
-  if (e.case_operand) MaxParam(*e.case_operand, out);
-  if (e.else_expr) MaxParam(*e.else_expr, out);
+  ForEachExprChild(e, [out](const Expr& c) { MaxParam(c, out); });
   if (e.subquery) MaxParam(*e.subquery, out);
 }
 
 }  // namespace
 
-int MaxParamIndex(const Expr& e) {
-  int out = 0;
-  MaxParam(e, &out);
-  return out;
-}
-
-int MaxParamIndex(const SelectStmt& s) {
-  int out = 0;
-  MaxParam(s, &out);
-  return out;
-}
-
 int MaxParamIndex(const Stmt& s) {
   int out = 0;
-  switch (s.kind) {
-    case Stmt::Kind::kSelect:
-      MaxParam(*s.select, &out);
-      break;
-    case Stmt::Kind::kInsert:
-      for (const auto& row : s.insert->rows) {
-        for (const auto& e : row) MaxParam(*e, &out);
-      }
-      if (s.insert->select) MaxParam(*s.insert->select, &out);
-      break;
-    case Stmt::Kind::kUpdate:
-      for (const auto& [col, e] : s.update->assignments) {
-        (void)col;
-        MaxParam(*e, &out);
-      }
-      if (s.update->where) MaxParam(*s.update->where, &out);
-      break;
-    case Stmt::Kind::kDelete:
-      if (s.del->where) MaxParam(*s.del->where, &out);
-      break;
-    default:
-      break;
-  }
+  ForEachStmtExpr(s, [&out](const auto& node) { MaxParam(node, &out); });
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -78,16 +79,6 @@ ExprPtr Func(std::string name, std::vector<ExprPtr> args);
 ExprPtr ScalarSubquery(std::unique_ptr<SelectStmt> q);
 /// Conjunction of all exprs (nullptr if empty, the expr itself if single).
 ExprPtr AndAll(std::vector<ExprPtr> exprs);
-
-// -- parameter placeholders ---------------------------------------------------
-
-struct Stmt;
-
-/// Highest $n / ? parameter index referenced (0 if none). Prepared
-/// statements use this as the number of bind values Execute() requires.
-int MaxParamIndex(const Expr& e);
-int MaxParamIndex(const SelectStmt& s);
-int MaxParamIndex(const Stmt& s);
 
 // -- statements ---------------------------------------------------------------
 
@@ -287,6 +278,107 @@ struct Stmt {
            kind == Kind::kUpdate || kind == Kind::kDelete;
   }
 };
+
+// -- parameter placeholders ---------------------------------------------------
+
+/// Highest $n / ? parameter index referenced (0 if none). Prepared
+/// statements use this as the number of bind values Execute() requires.
+int MaxParamIndex(const Stmt& s);
+
+// -- tree walkers -------------------------------------------------------------
+//
+// The one child enumeration of the AST, shared by every recursive walker
+// (rewriter, optimizer passes, auditor, session, binder helpers), so a new
+// child field only needs wiring here. Code that gives CASE its own meaning
+// (parser, printer, Clone, binder, evaluator, type inference) reads the
+// fields itself. A const tree hands out `const Expr&`; a mutable tree hands
+// out the owning `ExprPtr&` slot, so a walker can replace the child. None of
+// them enters a sub-query (`Expr::subquery`, a derived table's SELECT): the
+// walker decides itself whether to descend.
+
+namespace walk_internal {
+template <typename Like, typename T>
+using ConstLike = std::conditional_t<std::is_const_v<Like>, const T, T>;
+inline const Expr& Child(const ExprPtr& e) { return *e; }
+inline ExprPtr& Child(ExprPtr& e) { return e; }
+}  // namespace walk_internal
+
+/// fn on each direct child of `e`: args, the CASE operand and ELSE.
+template <typename E, typename Fn>
+void ForEachExprChild(E& e, Fn&& fn) {
+  for (auto& a : e.args) fn(walk_internal::Child(a));
+  if (e.case_operand) fn(walk_internal::Child(e.case_operand));
+  if (e.else_expr) fn(walk_internal::Child(e.else_expr));
+}
+
+/// fn(TableRef&) on every node of a SELECT's FROM trees — or of one FROM
+/// tree when handed a TableRef — in FROM order, pre-order, left input
+/// before right.
+template <typename Node, typename Fn>
+void ForEachTableRef(Node& n, Fn&& fn) {
+  using Ref = walk_internal::ConstLike<Node, TableRef>;
+  if constexpr (std::is_same_v<std::remove_const_t<Node>, SelectStmt>) {
+    for (auto& t : n.from) ForEachTableRef(static_cast<Ref&>(*t), fn);
+  } else {
+    fn(n);
+    if (n.left) ForEachTableRef(static_cast<Ref&>(*n.left), fn);
+    if (n.right) ForEachTableRef(static_cast<Ref&>(*n.right), fn);
+  }
+}
+
+/// fn on the root of every expression clause of a SELECT: the select items,
+/// WHERE, GROUP BY, HAVING, ORDER BY, then the ON conditions of its FROM
+/// trees in ForEachTableRef order.
+template <typename S, typename Fn>
+void ForEachClauseExpr(S& sel, Fn&& fn) {
+  using walk_internal::Child;
+  for (auto& item : sel.items) fn(Child(item.expr));
+  if (sel.where) fn(Child(sel.where));
+  for (auto& g : sel.group_by) fn(Child(g));
+  if (sel.having) fn(Child(sel.having));
+  for (auto& o : sel.order_by) fn(Child(o.expr));
+  ForEachTableRef(sel, [&fn](auto& t) {
+    if (t.join_cond) fn(Child(t.join_cond));
+  });
+}
+
+/// fn on every expression root and query body of a SELECT/INSERT/UPDATE/
+/// DELETE: the SELECT body, INSERT VALUES rows and source query, UPDATE SET
+/// values and WHERE, DELETE WHERE. Query bodies arrive as a SelectStmt, so
+/// fn takes both (a generic lambda over overloads). Other kinds visit
+/// nothing.
+template <typename St, typename Fn>
+void ForEachStmtExpr(St& s, Fn&& fn) {
+  using walk_internal::Child;
+  using walk_internal::ConstLike;
+  using Sel = ConstLike<St, SelectStmt>;
+  switch (s.kind) {
+    case Stmt::Kind::kSelect:
+      fn(static_cast<Sel&>(*s.select));
+      break;
+    case Stmt::Kind::kInsert: {
+      auto& ins = static_cast<ConstLike<St, InsertStmt>&>(*s.insert);
+      for (auto& row : ins.rows) {
+        for (auto& e : row) fn(Child(e));
+      }
+      if (ins.select) fn(static_cast<Sel&>(*ins.select));
+      break;
+    }
+    case Stmt::Kind::kUpdate: {
+      auto& up = static_cast<ConstLike<St, UpdateStmt>&>(*s.update);
+      for (auto& assignment : up.assignments) fn(Child(assignment.second));
+      if (up.where) fn(Child(up.where));
+      break;
+    }
+    case Stmt::Kind::kDelete: {
+      auto& del = static_cast<ConstLike<St, DeleteStmt>&>(*s.del);
+      if (del.where) fn(Child(del.where));
+      break;
+    }
+    default:
+      break;
+  }
+}
 
 }  // namespace sql
 }  // namespace mtbase

@@ -475,6 +475,46 @@ TEST_F(AuditTest, ConversionInlineDivergenceNamed) {
   EXPECT_TRUE(a.ok()) << a.Message();
 }
 
+// An inlined meta join keyed on the ttid of a LEFT JOIN's nullable side sits
+// in WHERE and drops the null-extended rows: the o4 text an optimizer without
+// the nullable-side fallback produced for this query returns 1 row where the
+// canonical form returns 6. The auditor must not explain it away as
+// inlining, while the lookup sub-query o4 emits instead stays accepted.
+TEST_F(AuditTest, MetaJoinOnNullableSideIsUnexplained) {
+  auto stmts = RewriteAll(
+      "SELECT R_name, E_salary FROM Roles LEFT JOIN Employees "
+      "ON E_role_id = R_role_id AND E_age > 70 ORDER BY R_name",
+      0, {0, 1});
+  ASSERT_EQ(stmts.size(), 1u);
+  auto pre = stmts[0].select->Clone();
+  auto broken = sql::ParseStatement(
+      "SELECT R_name, E_salary * __im0.CT_to_universal * "
+      "(SELECT CT_from_universal FROM Tenant, CurrencyTransform "
+      "WHERE T_tenant_key = 0 AND T_currency_key = CT_currency_key) "
+      "AS E_salary FROM Roles LEFT JOIN Employees ON E_role_id = R_role_id "
+      "AND Employees.ttid = Roles.ttid AND E_age > 70 "
+      "AND Employees.ttid IN (0, 1), Tenant __it0, CurrencyTransform __im0 "
+      "WHERE Roles.ttid IN (0, 1) AND __it0.T_tenant_key = Employees.ttid "
+      "AND __it0.T_currency_key = __im0.CT_currency_key ORDER BY R_name");
+  ASSERT_OK(broken);
+  audit::AuditContext ctx = MakeCtx(0, {0, 1}, {0, 1, 2});
+  audit::RewriteAuditor auditor(&ctx);
+  audit::StatementAudit a;
+  auditor.AuditOptimized(*pre, *broken.value().select, &a);
+  EXPECT_EQ(a.equivalence, audit::EquivalenceCode::kUnknown);
+  EXPECT_TRUE(HasCode(a, audit::AuditCode::kEquivalenceUnknownDivergence))
+      << a.Message();
+
+  Optimizer opt(&conversions_, 0);
+  ASSERT_OK(opt.Optimize(stmts[0].select.get(), OptLevel::kO4));
+  audit::StatementAudit fixed;
+  auditor.AuditOptimized(*pre, *stmts[0].select, &fixed);
+  EXPECT_EQ(fixed.equivalence,
+            audit::EquivalenceCode::kDivergeConversionInline)
+      << sql::PrintSelect(*stmts[0].select);
+  EXPECT_TRUE(fixed.ok()) << fixed.Message();
+}
+
 TEST_F(AuditTest, UnexplainedDivergenceIsViolation) {
   auto stmts = RewriteAll("SELECT E_age FROM Employees", 0, {0, 1});
   ASSERT_EQ(stmts.size(), 1u);

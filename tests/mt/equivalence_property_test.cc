@@ -104,13 +104,34 @@ class EquivalenceFixture {
   std::unique_ptr<Middleware> mw_;
 };
 
+/// Outer join: roles without a matching employee keep NULL employee
+/// columns (the nullable side's conversions and ttid), which every level
+/// must preserve.
+std::string RandomLeftJoinQuery(Rng* rng, bool aggregate) {
+  std::string from =
+      " FROM Roles LEFT JOIN Employees ON E_role_id = R_role_id AND "
+      "E_salary > " + std::to_string(rng->Uniform(0, 99999));
+  if (aggregate) {
+    return "SELECT R_name, COUNT(E_name) AS c, SUM(E_salary) AS s" + from +
+           " GROUP BY R_name ORDER BY R_name";
+  }
+  std::string sql = "SELECT R_name, E_name, E_salary" + from;
+  if (rng->Chance(0.5)) {
+    sql += " WHERE E_salary IS NULL OR E_salary < " +
+           std::to_string(rng->Uniform(0, 99999));
+  }
+  return sql + " ORDER BY R_name, E_name, E_salary";
+}
+
 /// Random query generator over the Employees/Roles schema. Each query is a
 /// SELECT with random aggregates or projections, random predicates on
 /// comparable/convertible attributes (tenant-specific ones only against
-/// tenant-specific or constants) and random group/order clauses.
+/// tenant-specific or constants) and random group/order clauses, or an
+/// outer join of roles and employees.
 std::string RandomQuery(Rng* rng) {
   bool join = rng->Chance(0.4);
   bool aggregate = rng->Chance(0.6);
+  if (join && rng->Chance(0.5)) return RandomLeftJoinQuery(rng, aggregate);
   std::string sql = "SELECT ";
   if (aggregate) {
     switch (rng->Uniform(0, 4)) {

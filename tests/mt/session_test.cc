@@ -1,6 +1,9 @@
 // End-to-end middleware tests on the paper's running example (Figure 2).
 #include "mt/session.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "mt/mtbase.h"
@@ -189,6 +192,32 @@ TEST_F(SessionTest, AllLevelsAgreeOnCrossTenantAggregate) {
   }
 }
 
+// A conversion whose owner sits on the nullable side of a LEFT JOIN: o4
+// must not join the meta tables in WHERE (that drops the null-extended rows)
+// but read the conversion data through a lookup sub-query instead.
+TEST_F(SessionTest, AllLevelsAgreeOnLeftJoinConversions) {
+  Session t1(mw_.get(), 1);
+  ASSERT_OK(t1.Execute("GRANT READ ON DATABASE TO 0"));
+  const std::string q =
+      "SELECT R_name, E_salary FROM Roles LEFT JOIN Employees "
+      "ON E_role_id = R_role_id AND E_age > 70 ORDER BY R_name";
+  for (const auto& [scope, roles] :
+       {std::pair<std::string, size_t>{"IN (0, 1)", 6}, {"IN (1)", 3}}) {
+    Session s(mw_.get(), 0);
+    ASSERT_OK(s.Execute("SET SCOPE = \"" + scope + "\""));
+    s.set_optimization_level(OptLevel::kCanonical);
+    ASSERT_OK_AND_ASSIGN(auto canonical, s.Execute(q));
+    ASSERT_EQ(canonical.rows.size(), roles) << scope;
+    for (OptLevel level : {OptLevel::kO1, OptLevel::kO2, OptLevel::kO3,
+                           OptLevel::kO4, OptLevel::kInlineOnly}) {
+      s.set_optimization_level(level);
+      ASSERT_OK_AND_ASSIGN(auto rs, s.Execute(q));
+      EXPECT_EQ(rs.ToString(100), canonical.ToString(100))
+          << scope << " at " << OptLevelName(level);
+    }
+  }
+}
+
 TEST_F(SessionTest, DmlOnBehalfOfOtherTenantConverts) {
   // Paper Appendix A.2: tenant 0 copies a record to tenant 1, the salary is
   // converted into tenant 1's format.
@@ -231,6 +260,34 @@ TEST_F(SessionTest, DeleteScopedToDataset) {
   Session c1(mw_.get(), 1);
   ASSERT_OK_AND_ASSIGN(rs, c1.Execute("SELECT COUNT(*) FROM Roles"));
   EXPECT_EQ(rs.rows[0][0].int_value(), 3);
+}
+
+// D' is pruned by every tenant-specific table a statement reads, including
+// the ones DML sub-queries read: tenant 1 granted READ on Roles only, so its
+// Employees rows must not decide which of its roles a DELETE or UPDATE hits
+// (the same predicate in a SELECT counts 0 roles).
+void ExpectSubqueryPrunesDataset(Middleware* mw, const std::string& dml) {
+  const std::string pred =
+      " WHERE R_role_id IN (SELECT E_role_id FROM Employees WHERE E_age > 70)";
+  Session t1(mw, 1);
+  ASSERT_OK(t1.Execute("GRANT READ ON Roles TO 0"));
+  Session s(mw, 0);
+  ASSERT_OK(s.Execute("SET SCOPE = \"IN (0, 1)\""));
+  ASSERT_OK_AND_ASSIGN(auto rs,
+                       s.Execute("SELECT COUNT(*) FROM Roles" + pred));
+  EXPECT_EQ(rs.rows[0][0].int_value(), 0);
+  ASSERT_OK(s.Execute(dml + pred));
+  ASSERT_OK_AND_ASSIGN(
+      rs, t1.Execute("SELECT COUNT(*) FROM Roles WHERE R_name <> 'x'"));
+  EXPECT_EQ(rs.rows[0][0].int_value(), 3) << dml;
+}
+
+TEST_F(SessionTest, DeleteSubqueryPrunesTheDataset) {
+  ExpectSubqueryPrunesDataset(mw_.get(), "DELETE FROM Roles");
+}
+
+TEST_F(SessionTest, UpdateSubqueryPrunesTheDataset) {
+  ExpectSubqueryPrunesDataset(mw_.get(), "UPDATE Roles SET R_name = 'x'");
 }
 
 TEST_F(SessionTest, RejectionSurfacesAsError) {
